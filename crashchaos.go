@@ -173,8 +173,8 @@ func (p *crashPlan) hook(pt CrashPoint) bool {
 }
 
 // truncateCrash is the MemStore.CrashTruncate hook: a kill landing
-// inside wal.Open's torn-tail truncation (between ftruncate and fsync,
-// in FileStore terms) while a previous crash is being reopened from.
+// inside wal.Open's torn-tail truncation (between zeroing the tail and
+// fsync, in FileStore terms) while a previous crash is being reopened from.
 // Whether the truncation persisted is itself random — both outcomes
 // must recover identically, since only garbage bytes are ever dropped.
 func (p *crashPlan) truncateCrash(int) (error, bool) {

@@ -15,8 +15,10 @@
 //     except for an arbitrary prefix that may have reached the medium
 //     (a torn tail). The chaos harness kills services at every point of
 //     the write path through this hook.
-//   - FileStore is the real thing: an O_APPEND file with Sync mapped to
-//     fsync.
+//   - FileStore is the real thing: a file written in place with Sync
+//     mapped to fsync. Reset zeroes the used span instead of truncating
+//     the file, so the file keeps its high-water size across
+//     checkpoints.
 //
 // Replay tolerates a torn tail by construction: records are framed with
 // a length and a CRC32, decoding stops at the first frame that fails
@@ -207,7 +209,9 @@ type MemStore struct {
 
 	// CrashTruncate, when set, is consulted by TruncateTail before the
 	// truncation is applied — the chaos-harness hook modelling process
-	// death between a FileStore's ftruncate and its fsync. A non-nil die
+	// death between a FileStore's tail-zeroing write and its fsync. A
+	// torn zeroing leaves only bytes that already failed decoding, so
+	// "persisted or not" covers every outcome. A non-nil die
 	// kills the operation: TruncateTail returns die without touching the
 	// buffer-side state, and the truncation has reached the medium iff
 	// persist is true.
@@ -287,19 +291,52 @@ func (m *MemStore) Clone() *MemStore {
 	}
 }
 
-// FileStore is a file-backed Store: an append-only file whose Sync
-// barrier is fsync. One Log per file; the caller owns the path.
+// FileStore is a file-backed Store whose Sync barrier is fsync. One Log
+// per file; the caller owns the path.
+//
+// The file is reused in place, not appended to. The store tracks a
+// logical end (the log is bytes [0, end)) and a high-water mark past
+// which the file has never been written, counting the bytes of a failed
+// write too. Sync writes at the logical end; Reset and TruncateTail
+// overwrite the discarded span up to the high-water mark with zeros and
+// fsync, so the file keeps its high-water size — one checkpoint
+// interval's worth of frames — instead of being truncated. On ext4 with
+// online discard an ftruncate plus fsync costs tens to hundreds of
+// milliseconds, against tens of microseconds to overwrite the same
+// bytes.
+//
+// Zeros end decoding the way a torn tail does (a zero length field is
+// below the record minimum). Zeroing the whole used span rather than
+// rewinding the offset keeps every frame written before a Reset
+// undecodable: frames of one block size all have the same length, and
+// after a reopen a Log's seq clock may restart below the old frames', so
+// a rewound file would let DecodeAll run from fresh frames on into
+// stale ones that carry higher seqs.
 //
 // Appends are buffered in a reusable scratch slice and flushed by Sync
-// with a single write(2) followed by fsync, so a group of frames costs
-// one syscall pair no matter how many records it spans. The bytes that
-// reach the file are identical to writing each frame individually —
-// only the syscall count changes — so crash and torn-tail semantics are
+// with a single write followed by fsync, so a group of frames costs one
+// syscall pair no matter how many records it spans. The bytes that reach
+// the file are identical to writing each frame individually — only the
+// syscall count changes — so crash and torn-tail semantics are
 // unchanged.
 type FileStore struct {
-	f   *os.File
-	buf []byte
+	f    file
+	buf  []byte
+	end  int64 // logical end: the log is bytes [0, end)
+	high int64 // high-water mark: nothing at or past it was ever written
 }
+
+// file is the part of *os.File a FileStore uses; tests substitute one
+// whose writes fail part-way.
+type file interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Close() error
+}
+
+// zeroChunk is the source of the zeros Reset and TruncateTail write.
+var zeroChunk [64 << 10]byte
 
 // OpenFile opens (creating if needed) a file-backed store at path. The
 // path is resolved to an absolute one immediately, so a later working-
@@ -311,9 +348,14 @@ func OpenFile(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	f, err := os.OpenFile(abs, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(abs, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: stat %s: %w", abs, err)
 	}
 	dir, err := os.Open(filepath.Dir(abs))
 	if err == nil {
@@ -324,7 +366,9 @@ func OpenFile(path string) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: sync parent dir of %s: %w", abs, err)
 	}
-	return &FileStore{f: f}, nil
+	// Until Open has decoded the file, all of it is the log: a zeroed
+	// tail left by earlier resets decodes as garbage and is trimmed there.
+	return &FileStore{f: f, end: info.Size(), high: info.Size()}, nil
 }
 
 // Append implements Store: it only buffers. The bytes reach the file at
@@ -334,14 +378,19 @@ func (s *FileStore) Append(p []byte) error {
 	return nil
 }
 
-// Sync implements Store: one write(2) for everything buffered since the
-// last barrier, then fsync. The buffer is consumed either way — after a
-// failed write the file may hold a partial frame, which is exactly the
-// state the Log's broken latch exists for, and retrying the same bytes
-// behind it could only strand more records.
+// Sync implements Store: one write at the logical end for everything
+// buffered since the last barrier, then fsync. The buffer is consumed
+// either way. A failed write leaves the logical end where it was, but
+// the file may now hold a partial frame past it: the high-water mark
+// covers those bytes so the next Reset zeroes them, and until then the
+// Log's broken latch refuses every record that could land behind them.
 func (s *FileStore) Sync() error {
 	if len(s.buf) > 0 {
-		_, err := s.f.Write(s.buf)
+		s.high = max(s.high, s.end+int64(len(s.buf)))
+		_, err := s.f.WriteAt(s.buf, s.end)
+		if err == nil {
+			s.end += int64(len(s.buf))
+		}
 		s.buf = s.buf[:0]
 		if err != nil {
 			return err
@@ -350,35 +399,40 @@ func (s *FileStore) Sync() error {
 	return s.f.Sync()
 }
 
-// Load implements Store. It reads through the held fd (not by path), so
-// it always sees this store's file regardless of renames or working-
-// directory changes since open. Buffered (unsynced) bytes are not part
-// of the surviving contents, matching MemStore's crash model.
+// Load implements Store: the bytes [0, logical end). It reads through
+// the held fd (not by path), so it always sees this store's file
+// regardless of renames or working-directory changes since open.
+// Buffered (unsynced) bytes are not part of the surviving contents,
+// matching MemStore's crash model.
 func (s *FileStore) Load() ([]byte, error) {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+	data := make([]byte, s.end)
+	if _, err := s.f.ReadAt(data, 0); err != nil {
 		return nil, err
 	}
-	return io.ReadAll(s.f)
+	return data, nil
 }
 
-// Reset implements Store. Buffered bytes are discarded along with the
-// durable contents.
-func (s *FileStore) Reset() error {
-	s.buf = s.buf[:0]
-	if err := s.f.Truncate(0); err != nil {
-		return err
-	}
-	return s.f.Sync()
-}
+// Reset implements Store as TruncateTail(0): it overwrites [0,
+// high-water) with zeros and fsyncs, leaving the file at its high-water
+// size. Buffered bytes are discarded.
+func (s *FileStore) Reset() error { return s.TruncateTail(0) }
 
-// TruncateTail implements Store. The file is O_APPEND, so writes after
-// a tail truncation land exactly at the new end — garbage bytes can
-// never shadow later records. Only Open calls this, before anything has
-// been buffered, but the buffer is cleared anyway for safety.
+// TruncateTail implements Store: the logical end moves back to keep and
+// [keep, high-water) is overwritten with zeros and fsynced, so garbage
+// bytes can never shadow later records. The end moves before the first
+// zero is written: after a zeroing that fails part-way, appends still
+// land at keep, ahead of whatever old frames survived, and every one of
+// those carries a seq the Log has already handed out. Buffered bytes are
+// discarded (Open, the only other caller, has buffered nothing yet).
 func (s *FileStore) TruncateTail(keep int) error {
 	s.buf = s.buf[:0]
-	if err := s.f.Truncate(int64(keep)); err != nil {
-		return err
+	s.end = min(s.end, int64(keep))
+	for off := s.end; off < s.high; {
+		n := min(s.high-off, int64(len(zeroChunk)))
+		if _, err := s.f.WriteAt(zeroChunk[:n], off); err != nil {
+			return err
+		}
+		off += n
 	}
 	return s.f.Sync()
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -640,5 +641,135 @@ func TestCloseVsCommitRace(t *testing.T) {
 		if err := svc2.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestServiceFileJournalCrashReopen runs a Service over a file journal
+// through several checkpoints, each of which resets the file in place,
+// kills it through the crash hook, and reopens a new Service over the
+// same journal file and checkpoint store. Every acknowledged write must
+// read back, and the write in flight at the kill must read as its old
+// or its new value. Addresses are rewritten across checkpoints, so a
+// stale frame that survived a reset and got replayed would show up as a
+// reverted block. A final clean Close and reopen reads over the zeroed
+// file the last reset leaves behind.
+func TestServiceFileJournalCrashReopen(t *testing.T) {
+	for _, kill := range []CrashPoint{CrashAfterSync, CrashAfterCheckpointSave} {
+		t.Run(kill.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.wal")
+			cks := NewMemCheckpointStore()
+			var armed atomic.Bool
+			cfg := testServiceConfig(Fork)
+			cfg.CheckpointEvery = 5
+			cfg.Checkpoints = cks
+			cfg.crashHook = func(p CrashPoint) bool { return p == kill && armed.Load() }
+			cfg.sleep = func(time.Duration) {}
+			open := func(c ServiceConfig) (*Service, *wal.FileStore) {
+				t.Helper()
+				journal, err := OpenWALFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { journal.Close() })
+				c.WAL = journal
+				svc, err := NewService(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return svc, journal
+			}
+			ctx := context.Background()
+			size := cfg.Device.BlockSize
+			acked := map[uint64][]byte{}
+			write := func(svc *Service, i int) error {
+				addr, data := uint64(i%7), chaosPayload(size, 0xf11e, uint64(i))
+				err := svc.Write(ctx, addr, data)
+				if err == nil {
+					acked[addr] = data
+				}
+				return err
+			}
+			svc, journal := open(cfg)
+			i := 0
+			for ; i < 23; i++ {
+				if err := write(svc, i); err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+			}
+			if n := svc.Stats().Checkpoints; n < 3 {
+				t.Fatalf("%d checkpoints before the kill, want at least 3", n)
+			}
+			armed.Store(true)
+			var lostAddr uint64
+			var lostOld, lostNew []byte
+			for ; ; i++ {
+				if i > 40 {
+					t.Fatalf("crash hook at %v never fired", kill)
+				}
+				addr := uint64(i % 7)
+				old := acked[addr]
+				if err := write(svc, i); err != nil {
+					lostAddr, lostOld, lostNew = addr, old, chaosPayload(size, 0xf11e, uint64(i))
+					break
+				}
+			}
+			svc.Close()
+			data, err := journal.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			left, _ := wal.DecodeAll(data)
+			ck, ok, err := cks.Load()
+			if err != nil || !ok {
+				t.Fatalf("no checkpoint survived: %v", err)
+			}
+			journal.Close()
+
+			rcfg := cfg
+			rcfg.crashHook = nil
+			svc, _ = open(rcfg)
+			replayed := svc.Stats().ReplayedOps
+			switch kill {
+			case CrashAfterSync:
+				if replayed == 0 {
+					t.Fatalf("nothing replayed from the file journal (%d records left)", len(left))
+				}
+			case CrashAfterCheckpointSave:
+				// The journal was not reset: it still holds records, all
+				// covered by the checkpoint, and replay must skip them.
+				if len(left) == 0 || left[len(left)-1].Seq > ck.Seq || replayed != 0 {
+					t.Fatalf("%d records left (checkpoint seq %d), %d replayed", len(left), ck.Seq, replayed)
+				}
+			}
+			got, err := svc.Read(ctx, lostAddr)
+			if err != nil || !(bytes.Equal(got, lostOld) || bytes.Equal(got, lostNew)) {
+				t.Fatalf("write in flight at the kill (addr %d) reads as neither old nor new (err %v)", lostAddr, err)
+			}
+			delete(acked, lostAddr)
+			check := func(svc *Service) {
+				t.Helper()
+				for addr, want := range acked {
+					got, err := svc.Read(ctx, addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("addr %d: acknowledged write lost", addr)
+					}
+				}
+			}
+			check(svc)
+			for end := i + 8; i < end; i++ { // rewrites every address, lostAddr included
+				if err := write(svc, i); err != nil {
+					t.Fatalf("write %d after reopen: %v", i, err)
+				}
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			svc, _ = open(rcfg)
+			defer svc.Close()
+			check(svc)
+		})
 	}
 }

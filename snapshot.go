@@ -2,8 +2,10 @@ package forkoram
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"forkoram/internal/block"
 	"forkoram/internal/rng"
@@ -242,14 +244,11 @@ func (d *Device) compactMedium() error {
 	return nil
 }
 
+// sortPos orders entries by address: posmap iteration order is map
+// order, and snapshots must be byte-identical across runs. Addresses are
+// unique, so the order is total.
 func sortPos(ps []posEntry) {
-	// Insertion sort: posmap iteration order is map order; snapshots must
-	// be byte-identical across runs. Entry counts are small (≤ Blocks).
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].addr < ps[j-1].addr; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
+	slices.SortFunc(ps, func(a, b posEntry) int { return cmp.Compare(a.addr, b.addr) })
 }
 
 // RestoreDevice builds a fresh Device from a snapshot and the surviving
