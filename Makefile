@@ -29,21 +29,21 @@ bench-svc:
 bench-pipeline:
 	$(GO) run ./cmd/orambench -pipeline-sweep -svc-ops 1200
 
-# Multi-core serve-stage baseline: the same grouped write storm across
-# a gomaxprocs × pipeline-depth × serve-workers grid over a simulated
-# remote tier (fixed per-bulk-call RTT), every entry stamped with the
-# GOMAXPROCS it actually ran under. -require-mc exits nonzero unless a
-# GOMAXPROCS>=4 concurrent cell clears 1.3x over that scheduler width's
-# own depth-1 serial baseline, so a sweep produced at GOMAXPROCS=1 can
-# never claim a multi-core speedup.
+# Multi-core pipeline baseline: the same grouped write storm across a
+# gomaxprocs × pipeline-depth grid over a simulated remote tier (fixed
+# per-bulk-call RTT), every entry stamped with the GOMAXPROCS it
+# actually ran under. -require-mc exits nonzero unless a GOMAXPROCS>=4
+# pipelined cell clears 1.3x over that scheduler width's own depth-1
+# serial baseline, so a sweep produced at GOMAXPROCS=1 can never claim a
+# multi-core speedup.
 bench-pipeline-mc:
 	$(GO) run ./cmd/orambench -mc-sweep -svc-ops 1200 -require-mc
 
-# Cross-window pipelining comparison: the same grouped write storm at
-# equal (depth, serve-workers), once with the inter-window barrier and
-# once with the persistent pipeline + overlapped group fsync, over a
-# simulated remote tier. -require-mc here asserts at least one
-# cross-window cell beats its barriered twin (svc_xw_* fields in the
+# Cross-window run-loop comparison: the same grouped write storm at
+# each pipeline depth, once under the window-barriered Service loop and
+# once under the committer/applier loop with overlapped group fsync,
+# over a simulated remote tier. -require-mc here asserts at least one
+# cross-window run beats its barriered twin (svc_xw_* fields in the
 # -json record).
 bench-xw:
 	$(GO) run ./cmd/orambench -xw -svc-ops 1200 -gomaxprocs 4 -require-mc
@@ -83,9 +83,9 @@ chaos-smoke:
 	$(GO) run ./cmd/forksim -faults -fault-corruption -seed 2 -fault-schedules 100 -fault-rate 0.006
 	$(GO) run ./cmd/forksim -crash -seed 3 -crash-schedules 100
 	$(GO) run ./cmd/forksim -crash-shards -seed 4 -crash-schedules 100 -shards 3
-	# Race-checked crash pass: every fourth schedule runs the concurrent
-	# serve stage (PipelineDepth 4, ServeWorkers 2), so mid-serve kills
-	# land inside worker goroutines under the race detector.
+	# Race-checked crash pass: every plain-medium Fork schedule runs the
+	# pipelined engine (PipelineDepth 4), so mid-serve kills land inside
+	# worker goroutines under the race detector.
 	$(GO) run -race ./cmd/forksim -crash -seed 3 -crash-schedules 60
 
 # Disk-medium crash campaign: every schedule runs over a real disk

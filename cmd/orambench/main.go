@@ -12,11 +12,10 @@
 //	orambench -svc                 # only the Service group-commit bench
 //	orambench -svc -shards 8 -json # sharded fleet bench, recorded to json
 //	orambench -svc -pipeline-depth 4    # pipelined device under the svc bench
-//	orambench -svc -serve-workers 4     # concurrent serve/evict stage
 //	orambench -pipeline-sweep -json     # depth sweep (1,2,4) comparison table
-//	orambench -mc-sweep -json           # gomaxprocs × depth × workers baseline
+//	orambench -mc-sweep -json           # gomaxprocs × depth baseline
 //	orambench -mc-sweep -require-mc     # fail unless GOMAXPROCS>=4 hits 1.3x
-//	orambench -xw -json                 # cross-window vs barriered at equal depth/workers
+//	orambench -xw -json                 # cross-window vs barriered run loop per depth
 //	orambench -xw -require-mc           # fail unless cross-window beats its barriered twin
 //	orambench -reshard -json       # online reshard under concurrent writers
 //	orambench -gomaxprocs 8        # pin the Go scheduler width for the run
@@ -78,7 +77,7 @@ type benchReport struct {
 	// RunPipelineSweep): the depth the headline svc_pipeline_* numbers
 	// were measured at, its throughput and speedup over the depth-1
 	// serial run, and the stage counters — windows run, paths prefetched,
-	// refills retired by the writeback worker, and per-stage stall time.
+	// refills written back, and per-stage stall time.
 	SvcPipelineDepth           int     `json:"svc_pipeline_depth,omitempty"`
 	SvcPipelineOpsPerSec       float64 `json:"svc_pipeline_ops_per_sec,omitempty"`
 	SvcPipelineSpeedup         float64 `json:"svc_pipeline_speedup,omitempty"`
@@ -91,31 +90,26 @@ type benchReport struct {
 	// SvcPipelineSweep holds the full per-depth table when -pipeline-sweep
 	// ran (depth, throughput, latency, stall telemetry per entry).
 	SvcPipelineSweep []forkoram.PipelineSweepRun `json:"svc_pipeline_sweep,omitempty"`
-	// Concurrent serve/evict stage and multi-core baseline (see
-	// DeviceConfig.ServeWorkers and RunMCSweep): the serve-worker count
-	// behind the headline svc_pipeline_* numbers, plus the full
-	// gomaxprocs × depth × workers grid with per-entry GOMAXPROCS/NumCPU
-	// stamps so single-core runs cannot masquerade as multi-core wins.
-	SvcServeWorkers      int                   `json:"svc_serve_workers,omitempty"`
+	// Multi-core baseline (see RunMCSweep): the full gomaxprocs × depth
+	// grid with per-entry GOMAXPROCS/NumCPU stamps so single-core runs
+	// cannot masquerade as multi-core wins.
 	SvcMCNumCPU          int                   `json:"svc_mc_num_cpu,omitempty"`
 	SvcMCRemoteLatencyNS int64                 `json:"svc_mc_remote_latency_ns,omitempty"`
 	SvcMCBestSpeedup     float64               `json:"svc_mc_best_speedup,omitempty"`
 	SvcMCBestGomaxprocs  int                   `json:"svc_mc_best_gomaxprocs,omitempty"`
 	SvcMCBestDepth       int                   `json:"svc_mc_best_depth,omitempty"`
-	SvcMCBestWorkers     int                   `json:"svc_mc_best_workers,omitempty"`
 	SvcMCRuns            []forkoram.MCSweepRun `json:"svc_mc_runs,omitempty"`
-	// Cross-window pipelining sweep (see ServiceConfig.CrossWindow and
-	// RunXWSweep): the same workload at equal depth and serve-workers,
-	// once barriered at every window seam and once with the persistent
-	// pipeline plus overlapped group fsync. The headline ops/sec pair is
-	// the best cell's; the full per-cell table (with per-entry
-	// GOMAXPROCS/NumCPU stamps) rides in svc_xw_runs.
+	// Cross-window run-loop sweep (see ServiceConfig.CrossWindow and
+	// RunXWSweep): the same workload at each depth, once under the
+	// window-barriered loop and once under the committer/applier loop
+	// with overlapped group fsync. The headline ops/sec pair is the best
+	// depth's; the full per-depth table (with per-entry GOMAXPROCS/NumCPU
+	// stamps) rides in svc_xw_runs.
 	SvcXWNumCPU           int                   `json:"svc_xw_num_cpu,omitempty"`
 	SvcXWRemoteLatencyNS  int64                 `json:"svc_xw_remote_latency_ns,omitempty"`
 	SvcXWBestSpeedup      float64               `json:"svc_xw_best_speedup,omitempty"`
 	SvcXWBestGomaxprocs   int                   `json:"svc_xw_best_gomaxprocs,omitempty"`
 	SvcXWBestDepth        int                   `json:"svc_xw_best_depth,omitempty"`
-	SvcXWBestWorkers      int                   `json:"svc_xw_best_workers,omitempty"`
 	SvcXWOpsPerSec        float64               `json:"svc_xw_ops_per_sec,omitempty"`
 	SvcXWBarrierOpsPerSec float64               `json:"svc_xw_barrier_ops_per_sec,omitempty"`
 	SvcXWRuns             []forkoram.XWSweepRun `json:"svc_xw_runs,omitempty"`
@@ -198,8 +192,8 @@ func (r *benchReport) fillPipelineSweep(res forkoram.PipelineSweepResult) {
 	}
 }
 
-// fillMCSweep records the multi-core serve-stage sweep and promotes
-// its best concurrent cell measured at GOMAXPROCS >= 4 to the headline
+// fillMCSweep records the multi-core sweep and promotes its best
+// pipelined cell measured at GOMAXPROCS >= 4 to the headline
 // svc_pipeline_* fields (the speedup is against that scheduler width's
 // own depth-1 serial baseline).
 func (r *benchReport) fillMCSweep(res forkoram.MCSweepResult) {
@@ -208,12 +202,11 @@ func (r *benchReport) fillMCSweep(res forkoram.MCSweepResult) {
 	r.SvcMCBestSpeedup = res.BestSpeedup
 	r.SvcMCBestGomaxprocs = res.BestGomaxprocs
 	r.SvcMCBestDepth = res.BestDepth
-	r.SvcMCBestWorkers = res.BestWorkers
 	r.SvcMCRuns = res.Runs
 	var best *forkoram.MCSweepRun
 	for i := range res.Runs {
 		run := &res.Runs[i]
-		if run.Workers < 2 || run.Gomaxprocs < 4 {
+		if run.Depth < 2 || run.Gomaxprocs < 4 {
 			continue
 		}
 		if best == nil || run.Speedup > best.Speedup {
@@ -221,24 +214,22 @@ func (r *benchReport) fillMCSweep(res forkoram.MCSweepResult) {
 		}
 	}
 	if best != nil {
-		r.SvcServeWorkers = best.Workers
 		r.fillPipelineRun(best.Depth, best.Run, best.Speedup)
 	}
 }
 
 // fillXWSweep records the cross-window sweep and promotes its best
-// cell's throughput pair to the headline svc_xw_* fields.
+// depth's throughput pair to the headline svc_xw_* fields.
 func (r *benchReport) fillXWSweep(res forkoram.XWSweepResult) {
 	r.SvcXWNumCPU = res.NumCPU
 	r.SvcXWRemoteLatencyNS = res.RemoteLatencyNs
 	r.SvcXWBestSpeedup = res.BestSpeedup
 	r.SvcXWBestGomaxprocs = res.BestGomaxprocs
 	r.SvcXWBestDepth = res.BestDepth
-	r.SvcXWBestWorkers = res.BestWorkers
 	r.SvcXWRuns = res.Runs
 	for i := range res.Runs {
 		run := &res.Runs[i]
-		if run.Depth == res.BestDepth && run.Workers == res.BestWorkers {
+		if run.Depth == res.BestDepth {
 			r.SvcXWOpsPerSec = run.CrossWindow.OpsPerSec
 			r.SvcXWBarrierOpsPerSec = run.Barriered.OpsPerSec
 			break
@@ -247,33 +238,33 @@ func (r *benchReport) fillXWSweep(res forkoram.XWSweepResult) {
 }
 
 // requireXWPass extends the honesty guard to the cross-window sweep:
-// at least one cell must show the cross-window run beating its own
-// barriered twin — same depth, same serve-workers, same journal
-// medium, same payloads; the seam barrier is the only difference, so
-// anything <= 1.0x means the persistent pipeline bought nothing.
+// at least one depth must show the cross-window run beating its own
+// barriered twin — same depth, same journal medium, same payloads; the
+// run loop is the only difference, so anything <= 1.0x means the
+// overlapped group commit bought nothing.
 func requireXWPass(res forkoram.XWSweepResult) error {
 	for _, run := range res.Runs {
 		if run.Speedup > 1.0 {
 			return nil
 		}
 	}
-	return fmt.Errorf("no cross-window cell beat its barriered twin (best %.2fx at gomaxprocs=%d depth=%d workers=%d)",
-		res.BestSpeedup, res.BestGomaxprocs, res.BestDepth, res.BestWorkers)
+	return fmt.Errorf("no cross-window run beat its barriered twin (best %.2fx at gomaxprocs=%d depth=%d)",
+		res.BestSpeedup, res.BestGomaxprocs, res.BestDepth)
 }
 
-// requireMCPass enforces the multi-core honesty bar: some concurrent
-// cell (workers >= 2) measured at GOMAXPROCS >= 4 must clear 1.3x over
+// requireMCPass enforces the multi-core honesty bar: some pipelined
+// cell (depth >= 2) measured at GOMAXPROCS >= 4 must clear 1.3x over
 // that scheduler width's depth-1 serial baseline. A sweep produced
 // entirely at GOMAXPROCS=1 therefore cannot claim a multi-core
 // speedup, whatever its numbers say.
 func requireMCPass(res forkoram.MCSweepResult) error {
 	for _, run := range res.Runs {
-		if run.Workers >= 2 && run.Gomaxprocs >= 4 && run.Speedup >= 1.3 {
+		if run.Depth >= 2 && run.Gomaxprocs >= 4 && run.Speedup >= 1.3 {
 			return nil
 		}
 	}
-	return fmt.Errorf("no concurrent cell at GOMAXPROCS >= 4 reached 1.3x (best %.2fx at gomaxprocs=%d depth=%d workers=%d)",
-		res.BestSpeedup, res.BestGomaxprocs, res.BestDepth, res.BestWorkers)
+	return fmt.Errorf("no pipelined cell at GOMAXPROCS >= 4 reached 1.3x (best %.2fx at gomaxprocs=%d depth=%d)",
+		res.BestSpeedup, res.BestGomaxprocs, res.BestDepth)
 }
 
 // fillTiers copies a tier bench result into the report's svc_disk_* /
@@ -366,13 +357,11 @@ func main() {
 		svcOps     = flag.Int("svc-ops", 2000, "Service bench: acknowledged writes per run")
 		shards     = flag.Int("shards", 1, "Service bench: ShardedService fleet width (1 = plain Service)")
 		pipeDepth  = flag.Int("pipeline-depth", 0, "Service bench: staged-pipeline depth per device (0/1 = serial engine)")
-		serveWork  = flag.Int("serve-workers", 0, "Service bench: concurrent serve/evict workers per device (0/1 = serial serve stage)")
-		wbQueue    = flag.Int("wb-queue", 0, "Service bench: writeback queue depth for the concurrent serve stage (0 = depth-1)")
 		pipeSweep  = flag.Bool("pipeline-sweep", false, "run only the pipeline depth sweep (depths 1, 2, 4)")
-		mcSweep    = flag.Bool("mc-sweep", false, "run only the multi-core serve-stage sweep (gomaxprocs × depth × workers)")
-		xwSweep    = flag.Bool("xw", false, "run only the cross-window sweep (barriered vs cross-window at equal depth/workers)")
+		mcSweep    = flag.Bool("mc-sweep", false, "run only the multi-core pipeline sweep (gomaxprocs × depth)")
+		xwSweep    = flag.Bool("xw", false, "run only the cross-window sweep (barriered vs cross-window run loop per depth)")
 		mcLatency  = flag.Duration("mc-latency", 0, "mc/xw sweep: simulated remote round-trip per bulk call (0 = 200µs default)")
-		requireMC  = flag.Bool("require-mc", false, "mc sweep: exit nonzero unless a GOMAXPROCS>=4 concurrent cell clears 1.3x; with -xw, unless a cross-window cell beats its barriered twin")
+		requireMC  = flag.Bool("require-mc", false, "mc sweep: exit nonzero unless a GOMAXPROCS>=4 pipelined cell clears 1.3x; with -xw, unless a cross-window run beats its barriered twin")
 		reshard    = flag.Bool("reshard", false, "run only the online reshard benchmark")
 		tiers      = flag.Bool("tiers", false, "run only the storage tier benchmark (mem vs disk vs remote)")
 		tierOps    = flag.Int("tier-ops", 500, "tier bench: acknowledged mixed ops per configuration (remote runs sleep real time)")
@@ -405,12 +394,10 @@ func main() {
 	}()
 
 	svcCfg := forkoram.ServiceBenchConfig{
-		Ops:            *svcOps,
-		Shards:         *shards,
-		Seed:           *seed,
-		PipelineDepth:  *pipeDepth,
-		ServeWorkers:   *serveWork,
-		WritebackQueue: *wbQueue,
+		Ops:           *svcOps,
+		Shards:        *shards,
+		Seed:          *seed,
+		PipelineDepth: *pipeDepth,
 	}
 	reshardCfg := forkoram.ReshardBenchConfig{Seed: *seed, NewShards: *newShards}
 	if *shards > 1 {
@@ -555,7 +542,6 @@ func main() {
 				// No depth-1 baseline in this mode; speedup comes from
 				// -pipeline-sweep or -mc-sweep, which measure both.
 				rep.fillPipelineRun(*pipeDepth, res.Grouped, 0)
-				rep.SvcServeWorkers = *serveWork
 			}
 			writeReport(rep)
 		}
@@ -653,7 +639,6 @@ func main() {
 		}
 		if *pipeDepth > 1 {
 			rep.fillPipelineRun(*pipeDepth, svcRes.Grouped, 0)
-			rep.SvcServeWorkers = *serveWork
 		}
 		writeReport(rep)
 	}

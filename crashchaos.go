@@ -132,7 +132,7 @@ func (r *CrashReport) String() string {
 // "at the Nth hook consultation" (rather than at a fixed point) spreads
 // kills uniformly over every CrashPoint the write path consults,
 // including the recovery-path points reachable only while healing.
-// mu serializes hook consultations: with the concurrent serve stage
+// mu serializes hook consultations: with the pipelined engine
 // engaged, CrashMidServe (serve workers) and CrashMidBucketWrite
 // (overlapped writeback goroutines) consult the plan concurrently. The
 // journal itself is quiescent during a dispatch window — the service
@@ -274,19 +274,13 @@ func runCrashSchedule(rep *CrashReport, cfg CrashChaosConfig, idx uint64, varian
 		Integrity: idx%2 == 0,
 		Retries:   retries,
 		Faults:    fc,
-		// Exercise the overlapped fetch/writeback pipeline wherever
-		// it can engage (Fork variant, plain medium, multi-op
-		// windows); inert elsewhere.
-		PipelineDepth: 2,
-	}
-	if idx%4 == 3 {
-		// Concurrent serve stage schedules: deepen the window and fan
-		// the serve stage across workers, so kills land on a worker
+		// Exercise the pipelined engine wherever it can engage (Fork
+		// variant, bulk medium, multi-op windows); inert elsewhere.
+		// Four accesses in flight: kills land on a serve worker
 		// mid-access while sibling accesses are genuinely in flight
-		// (CrashMidServe) and bucket-write kills land inside overlapped
-		// writeback goroutines.
-		devCfg.PipelineDepth = 4
-		devCfg.ServeWorkers = 2
+		// (CrashMidServe), and bucket-write kills land inside
+		// overlapped writeback goroutines.
+		PipelineDepth: 4,
 	}
 	scrubEvery := 0
 	// Disk schedules (every even schedule, or all of them with
@@ -310,9 +304,9 @@ func runCrashSchedule(rep *CrashReport, cfg CrashChaosConfig, idx uint64, varian
 		}
 		defer disk.Close()
 		devCfg.Storage.Medium = disk
-		// Pipeline schedules (≡3 mod 4) keep the disk top-of-stack: the
-		// RAM tier does not speak the bulk interface, so layering it
-		// would disengage the pipeline and lose the bulk-write kill path.
+		// Schedules ≡3 (mod 4) keep the disk top-of-stack: the RAM tier
+		// does not speak the bulk interface, so layering it would
+		// disengage the pipeline and lose the bulk-write kill path.
 		if idx%4 != 3 {
 			devCfg.Storage.TierBytes = 1 << 14
 		}
@@ -328,8 +322,7 @@ func runCrashSchedule(rep *CrashReport, cfg CrashChaosConfig, idx uint64, varian
 			// syncs window W+1 while W executes on the applier, the
 			// device-side pipeline stays primed across the seam, and the
 			// mid-window-seam kill site becomes reachable — including
-			// under the fault-injection (≡1 mod 4) and deep-pipeline
-			// (≡3 mod 4) decorators.
+			// under the fault-injection (≡1 mod 4) decorator.
 			CrossWindow:     idx%2 == 1,
 			QueueDepth:      8,
 			CheckpointEvery: 8, // frequent checkpoints: more save/truncate windows to kill in
@@ -539,6 +532,10 @@ func (st *crashState) settle(err error, pend []pendingWrite, what string) bool {
 // reopen retires the killed incarnation and cold-starts a fresh Service
 // over the surviving journal and checkpoint stores.
 func (st *crashState) reopen() bool {
+	// Close waits for the dead incarnation's run loop to exit, which
+	// joins its pipelined session: none of its writebacks may land after
+	// the next incarnation restores a shared medium.
+	st.svc.Close()
 	st.retire()
 	return st.openService()
 }

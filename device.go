@@ -127,59 +127,24 @@ type DeviceConfig struct {
 	// with Integrity enabled (payload-only corruption is invisible to
 	// the plaintext plausibility checks).
 	Faults *faults.Config
-	// CryptoWorkers bounds the goroutines decrypting/encrypting bucket
-	// ciphertexts when a whole path segment is read or written at once:
-	// 0 (the default) means one per available CPU, 1 forces serial
-	// crypto. Parallel crypto only engages on the plain medium — the
-	// Integrity and Faults decorators pin the per-bucket path, whose
-	// retry and verification semantics are defined one bucket at a time.
-	// Process-local tuning: not serialized in snapshots, re-applied from
-	// the host device on restore.
-	CryptoWorkers int
 	// PipelineDepth bounds the in-flight accesses of the intra-shard
-	// pipeline: during a Batch of more than one operation on the Fork
-	// variant over the plain medium, access N's writeback (re-encrypt +
-	// WriteBuckets) overlaps access N+1's path prefetch (ReadBuckets +
-	// decrypt), with stash mutation and eviction remaining a single
-	// serialized stage. Depth <= 1 (the default) is the serial path;
-	// depth d allows d-1 writebacks to queue behind the one in flight.
-	// The public access sequence is identical at every depth — the
-	// schedule is deterministic and prefetch only moves already-public
-	// traffic earlier in time. Like CryptoWorkers this is process-local
-	// tuning: not serialized in snapshots, re-applied from the host
-	// device on restore, and inert under the Integrity or Faults
-	// decorators (whose per-bucket semantics pin the serial path).
-	PipelineDepth int
-	// ServeWorkers sizes the concurrent serve/evict stage of the
-	// pipeline (DESIGN.md §15): >= 2 executes independent in-flight
-	// accesses' stash phases across that many workers, with
-	// dependency-tracked scheduling keeping every dependent pair in
-	// program order — results, snapshots, and the public access
-	// sequence are identical at every worker count. <= 1 (the default)
-	// keeps the single-goroutine serve stage of DESIGN.md §12. Only
-	// meaningful with PipelineDepth > 1; process-local tuning like
-	// PipelineDepth (not serialized in snapshots, inert under the
-	// Integrity or Faults decorators).
-	ServeWorkers int
-	// WritebackQueue bounds refill jobs queued behind the in-flight
-	// writeback(s) of a pipelined batch. 0 (the default) sizes it to
-	// PipelineDepth-1, the DESIGN.md §12 sizing; larger values only add
-	// slack. Process-local tuning like PipelineDepth.
-	WritebackQueue int
-	// CrossWindow keeps the pipeline primed across dispatch windows
-	// (DESIGN.md §16): the first pipelined Batch opens a persistent
-	// stage session and later Batches reuse it, so a new window's
-	// fetches overlap the previous window's still-in-flight writebacks
-	// (the store-buffer hazard set orders every conflicting pair).
-	// Results, snapshots, and the public access sequence are identical
-	// with or without it — each Batch still returns only after all its
-	// accesses retired in program order; only storage writes straddle
-	// the seam. Any serial operation (single Read/Write, Snapshot,
-	// scrub) drains and closes the session first. Only meaningful with
-	// PipelineDepth > 1; process-local tuning like PipelineDepth (not
+	// pipeline (DESIGN.md §15): during a Batch of more than one operation
+	// on the Fork variant over a bulk medium, up to PipelineDepth accesses
+	// are in flight at once — path fetches, stash phases and refill
+	// writebacks run on PipelineDepth workers each, with dependency
+	// tracking keeping every dependent pair in program order and
+	// PipelineDepth-1 refills queued behind the writes in flight. The
+	// pipelined session stays open across Batches, so a Batch's fetches
+	// overlap the previous Batch's still-in-flight writebacks; any serial
+	// operation (single Read/Write, Snapshot, scrub) drains and closes it
+	// first. Depth <= 1 (the default) is the serial engine. Results,
+	// snapshots, and the public access sequence are identical at every
+	// depth — the schedule is deterministic and the pipeline only moves
+	// already-public traffic in time. Process-local tuning: not
 	// serialized in snapshots, re-applied from the host device on
-	// restore, inert under the Integrity or Faults decorators).
-	CrossWindow bool
+	// restore, and inert under the Integrity or Faults decorators (whose
+	// per-bucket semantics pin the serial path).
+	PipelineDepth int
 	// Storage selects and shapes the storage tiers under the controller:
 	// a durable disk medium instead of the default in-memory one, a
 	// simulated remote tier with latency/transients plus its retry
@@ -300,18 +265,16 @@ type Device struct {
 	// errKilled (crash-chaos hook modelling a shard dying mid-window).
 	midBatchKill func() bool
 
-	// midServeKill, when set, is polled by the concurrent serve stage's
-	// workers before each access's stash phase (so the kill lands while
-	// other accesses are genuinely in flight). A non-nil error aborts
-	// the batch with it (crash-chaos hook modelling a shard dying
-	// mid-serve). Only armed when ServeWorkers >= 2.
+	// midServeKill, when set, is polled by the pipeline's serve workers
+	// before each access's stash phase (so the kill lands while other
+	// accesses are genuinely in flight). A non-nil error aborts the batch
+	// with it (crash-chaos hook modelling a shard dying mid-serve).
 	midServeKill func() error
 
-	// sessionOpen marks a persistent cross-window pipeline session
-	// (DeviceConfig.CrossWindow): stage workers stay armed between
-	// Batches, with the previous window's writebacks possibly still in
-	// flight. Serial paths call endSession before touching the
-	// controller directly.
+	// sessionOpen marks an open pipelined session: stage workers stay
+	// armed between Batches, with the previous window's writebacks
+	// possibly still in flight. Serial paths call endSession before
+	// touching the controller directly.
 	sessionOpen bool
 
 	// busy is the cheap concurrent-misuse guard: CAS-acquired by every
@@ -320,8 +283,8 @@ type Device struct {
 	busy atomic.Int32
 }
 
-// endSession closes a persistent cross-window pipeline session: drain
-// the in-flight writebacks, join the stage workers, and surface any
+// endSession closes the pipelined session: drain the in-flight
+// writebacks, join the stage workers, and surface any
 // latched error. Every serial-path entry (single operations,
 // snapshots, scrubs) funnels through here before touching controller
 // state directly; a non-nil return means evicted blocks were lost and
@@ -428,7 +391,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 func assembleDevice(cfg DeviceConfig, tr tree.Tree, store storage.Medium,
 	verifier *storage.Integrity, root *rng.Source) (*Device, error) {
 
-	store.SetBulkWorkers(cfg.CryptoWorkers)
 	if disk, ok := store.(*storage.Disk); ok {
 		disk.SetCrashWrite(nil) // hooks do not survive reassembly
 	}
@@ -748,7 +710,7 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 			addr := op.Addr
 			it := &fork.Item{ID: d.nextID, Addr: addr, OldLabel: old, NewLabel: newLabel}
 			it.Serve = func() error {
-				// Concurrent serve stage: record the stash work on the
+				// Pipelined session: record the stash work on the
 				// in-flight access instead of executing it here; the
 				// result lands via the callback when the access's turn
 				// executes. pendingCount still falls NOW — the engine's
@@ -776,40 +738,32 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 		}
 	}
 	if len(ops) > 1 && d.cfg.PipelineDepth > 1 {
-		started := d.sessionOpen
-		if !started {
-			ok, perr := d.ctl.StartPipelineOpts(d.pipelineOpts())
-			if perr != nil {
-				// Malformed pipeline options are a configuration bug caught
-				// before any state is touched — reject like validation, no
-				// poison.
-				return nil, perr
+		if !d.sessionOpen {
+			ok, err := d.ctl.StartPipelineOpts(pathoram.PipelineOpts{
+				Depth:    d.cfg.PipelineDepth,
+				Observer: d.cfg.Observer,
+				Kill:     d.midServeKill,
+			})
+			if err != nil {
+				// A malformed depth is a configuration bug caught before
+				// any state is touched — reject like validation, no poison.
+				return nil, err
 			}
-			started = ok
-			d.sessionOpen = ok && d.cfg.CrossWindow
+			d.sessionOpen = ok
 		}
-		if started {
-			err := d.batchPipelined(ops, admit, &pendingCount, &next, d.cfg.ServeWorkers >= 2)
-			if d.sessionOpen {
-				// Cross-window seam: wait for this window's accesses to
-				// retire, leave workers and in-flight writebacks armed for
-				// the next window.
-				if err == nil {
-					err = d.ctl.FlushPipelineWindow()
-				}
-				if err != nil {
-					// Abort tears the whole session down (drain + join)
-					// before the poison below fail-stops the device; the
-					// teardown re-reports the already-latched error.
-					_ = d.endSession()
-				}
-			} else {
-				if serr := d.ctl.StopPipeline(); err == nil {
-					err = serr
-				}
+		if d.sessionOpen {
+			err := d.batchPipelined(ops, admit, &pendingCount, &next)
+			if err == nil {
+				// Window seam: wait for this window's accesses to retire,
+				// leave workers and in-flight writebacks armed for the
+				// next window.
+				err = d.ctl.FlushPipelineWindow()
 			}
 			if err != nil {
-				d.sessionOpen = false
+				// Abort tears the whole session down (drain + join)
+				// before the poison fail-stops the device; the teardown
+				// re-reports the already-latched error.
+				_ = d.endSession()
 				d.poison(err)
 				return nil, err
 			}
@@ -837,39 +791,20 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 	return results, nil
 }
 
-// pipelineOpts shapes one pipelined dispatch window from the device
-// config. With ServeWorkers >= 2 the Observer is delivered by the
-// stage at retire time (program order) instead of by the drive loop,
-// and the mid-serve chaos kill point is armed.
-func (d *Device) pipelineOpts() pathoram.PipelineOpts {
-	o := pathoram.PipelineOpts{
-		Depth:          d.cfg.PipelineDepth,
-		ServeWorkers:   d.cfg.ServeWorkers,
-		WritebackQueue: d.cfg.WritebackQueue,
-	}
-	if o.ServeWorkers >= 2 {
-		o.Observer = d.cfg.Observer
-		o.Kill = d.midServeKill
-	}
-	return o
-}
-
-// batchPipelined drains one batch through the intra-shard pipeline.
+// batchPipelined drains one batch through the open pipelined session.
 // The drive loop is the serial loop unrolled one phase deeper — Begin,
 // the WriteStep refill, Finish — with two pipeline hooks added at the
-// stage boundaries: FlushWriteback hands the finished access's refill to
-// the writeback worker, and Prefetch (after admission, when the engine
-// has committed its next schedule entry) starts fetching the next path.
-// The admission cadence — one admit() sweep after every completed
-// access — matches the serial loop exactly, so the engine sees the same
-// queue states and emits the same schedule at every depth.
-// With concurrent=true (ServeWorkers >= 2) the drive loop is the same
-// — the engine still runs serially here and emits the identical
-// schedule — but each finished access is sealed into the concurrent
-// stage via CommitAccess (cross-checked against the engine's reported
-// footprint) instead of having already executed inline, and the
-// Observer fires at retire time inside the stage rather than here.
-func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next *int, concurrent bool) error {
+// stage boundaries: CommitAccess seals the finished access into the
+// stage (cross-checked against the engine's reported footprint), and
+// Prefetch (after admission, when the engine has committed its next
+// schedule entry) starts fetching the next path. The engine runs
+// serially here and serves are only recorded (DeferServe); the stage
+// executes them on its workers and fires the Observer at retire time,
+// in program order. The admission cadence — one admit() sweep after
+// every completed access — matches the serial loop exactly, so the
+// engine sees the same queue states and emits the same schedule at
+// every depth.
+func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next *int) error {
 	admit()
 	guard := 0
 	for *pendingCount > 0 || *next < len(ops) {
@@ -889,24 +824,15 @@ func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next 
 		if err := d.eng.Finish(a); err != nil {
 			return err
 		}
-		if concurrent {
-			deps := d.eng.LastDeps()
-			if err := d.ctl.CommitAccess(pathoram.AccessDeps{
-				Key:      deps.Key,
-				Label:    deps.Label,
-				ReadFrom: deps.ReadFrom,
-				Stop:     deps.Stop,
-				Dummy:    deps.Dummy,
-			}); err != nil {
-				return err
-			}
-		} else {
-			if err := d.ctl.FlushWriteback(); err != nil {
-				return err
-			}
-			if d.cfg.Observer != nil {
-				d.cfg.Observer(a.Label, a.Dummy(), a.ReadNodes, a.WriteNodes)
-			}
+		deps := d.eng.LastDeps()
+		if err := d.ctl.CommitAccess(pathoram.AccessDeps{
+			Key:      deps.Key,
+			Label:    deps.Label,
+			ReadFrom: deps.ReadFrom,
+			Stop:     deps.Stop,
+			Dummy:    deps.Dummy,
+		}); err != nil {
+			return err
 		}
 		admit()
 		if d.midBatchKill != nil && d.midBatchKill() {

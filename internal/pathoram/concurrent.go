@@ -10,12 +10,12 @@ import (
 	"forkoram/internal/tree"
 )
 
-// This file is the concurrent serve/evict stage (DESIGN.md §15): the
-// multi-request generalization of the §12 pipeline. The fork engine
-// still runs serially on the sequencer goroutine and decides the whole
-// schedule — labels, merge levels, dummy substitutions — ahead of
-// execution, which is sound because every engine decision is
-// stash-independent (BackgroundEvictThreshold is 0 under pipelining).
+// This file is the concurrent serve/evict stage (DESIGN.md §15), the
+// engine behind every pipelined session. The fork engine still runs
+// serially on the sequencer goroutine and decides the whole schedule —
+// labels, merge levels, dummy substitutions — ahead of execution, which
+// is sound because every engine decision is stash-independent
+// (BackgroundEvictThreshold is 0 under pipelining).
 // What used to happen inline per access (fetch consume, stash puts,
 // serve, eviction planning) is instead *recorded* into a ctask and
 // executed later on a worker pool, out of order where the dependency
@@ -58,10 +58,9 @@ import (
 // completes, and seal(k) precedes prefetch-issue(k+1) on the
 // sequencer, so a younger fetch can never miss an older hazard.
 type cserve struct {
-	c       *Controller
-	opts    PipelineOpts
-	depth   int
-	workers int
+	c     *Controller
+	opts  PipelineOpts
+	depth int // in-flight accesses; also the fetch, serve and write fan-out
 
 	// mu guards tasks, cur-free exchange, queued, inflight, err, the
 	// shared stats, and slot/task recycling. cond signals retirement,
@@ -143,8 +142,7 @@ type ctask struct {
 
 // pfSlot is one outstanding path fetch. The sequencer fills the request
 // fields and sends it on pfCh; a fetch worker fills bks/err and flips
-// ready under mu. Unlike the §12 single-slot stage, any number of slots
-// may be in flight.
+// ready under mu. Any number of slots may be in flight.
 type pfSlot struct {
 	seq   uint64 // seq of the access that will consume this fetch
 	label tree.Label
@@ -155,41 +153,45 @@ type pfSlot struct {
 	err   error
 }
 
+// wbJob is one access's planned refill travelling to the writeback
+// stage: the nodes written (leaf-to-root, the order WriteLevel recorded
+// them) and the evicted blocks per node. The job owns its block slices
+// — EvictAppend transferred the blocks out of the stash — so the writer
+// encodes and seals without touching any engine-side state.
+type wbJob struct {
+	ns     []tree.Node
+	bks    []block.Bucket
+	blocks [][]block.Block
+}
+
+// newCserve sizes the stage from the depth alone: one fetch and one
+// serve worker per in-flight slot (a worker beyond the ROB size could
+// never hold a task), up to depth concurrent bucket writes, and depth-1
+// refills queued behind them.
 func newCserve(c *Controller, o PipelineOpts) *cserve {
 	depth := o.Depth
-	workers := o.ServeWorkers
-	clamped := workers > depth
-	if clamped {
-		workers = depth
-	}
-	wbq := o.WritebackQueue
-	if wbq < 1 {
-		wbq = depth - 1 // the §12 sizing
-	}
 	cs := &cserve{
-		c:       c,
-		opts:    o,
-		depth:   depth,
-		workers: workers,
+		c:     c,
+		opts:  o,
+		depth: depth,
 		// +2: one slot for a commit-time empty task (which bypasses the
 		// depth gate) and one for a dependency wake racing a resolve push.
 		runnable: make(chan *ctask, depth+2),
 		pfCh:     make(chan *pfSlot, depth+2),
-		wbCh:     make(chan *wbJob, wbq),
-		wbSem:    make(chan struct{}, workers),
+		wbCh:     make(chan *wbJob, depth-1),
+		wbSem:    make(chan struct{}, depth),
 		queued:   make(map[tree.Node][]uint64),
 		inflight: make(map[tree.Node]int),
 	}
 	cs.cond = sync.NewCond(&cs.mu)
-	if clamped {
-		cs.stats.WorkerClamps++
-	}
-	jobs := depth + wbq + workers + 2
+	// Every job in flight (depth executing, depth-1 queued, depth
+	// writing) plus slack, so taking one never waits on the pool alone.
+	jobs := 3*depth + 1
 	cs.jobFree = make(chan *wbJob, jobs)
 	for i := 0; i < jobs; i++ {
 		cs.jobFree <- &wbJob{}
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < depth; i++ {
 		cs.wg.Add(2)
 		go prof.Stage("fetch", cs.fetchWorker)
 		go prof.Stage("serve", cs.serveWorker)
@@ -208,16 +210,10 @@ func (cs *cserve) latch(err error) {
 	cs.mu.Unlock()
 }
 
-func (cs *cserve) latched() error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.err
-}
-
 // ensureCur returns the task recording the access currently between
 // Begin and CommitAccess, opening one if needed. Opening waits for ROB
 // capacity: at most depth unretired accesses (ServeWaits counts the
-// backpressure the §12 pipeline charged to its writeback queue).
+// backpressure).
 func (cs *cserve) ensureCur() *ctask {
 	if cs.cur != nil {
 		return cs.cur
@@ -473,8 +469,7 @@ func (cs *cserve) conflict(a, b *ctask) bool {
 // advance resolves tasks in seq order: once a task's own fetch is
 // complete, compute its dependency edges against every older unexecuted
 // task and either dispatch it or park it. Caller holds mu. EvictWaits
-// counts resolution stalls on the head task's fetch — the concurrent
-// analogue of the §12 serve stage waiting on Begin's path read.
+// counts resolution stalls on the head task's fetch.
 func (cs *cserve) advance() {
 	for cs.resolveIdx < len(cs.tasks) {
 		t := cs.tasks[cs.resolveIdx]
@@ -519,8 +514,7 @@ func (cs *cserve) advance() {
 
 // fetchWorker drains pfCh: wait out write hazards older than the slot's
 // access, read the segment, and push resolution forward. Multiple fetch
-// workers overlap storage read latency across accesses — the headroom
-// the single-slot §12 stage left on the table.
+// workers overlap storage read latency across accesses.
 func (cs *cserve) fetchWorker() {
 	defer cs.wg.Done()
 	for s := range cs.pfCh {
@@ -708,7 +702,7 @@ func (cs *cserve) wbBusy(ns []tree.Node) bool {
 // wbDispatcher drains refill jobs in flush order (same-node jobs flush
 // in seq order because node overlap implies a scheduler edge), gating
 // each on in-flight writes to its nodes, then fans the bucket writes
-// out across up to `workers` concurrent WriteBuckets calls — the write
+// out across up to depth concurrent WriteBuckets calls — the write
 // half of the latency overlap.
 func (cs *cserve) wbDispatcher() {
 	defer cs.wg.Done()
@@ -761,7 +755,7 @@ func (cs *cserve) wbDispatcher() {
 	cs.wbWg.Wait()
 }
 
-// flushWindow is the cross-window seam barrier: wait until every
+// flushWindow is the window seam barrier: wait until every
 // sealed task of the closing window has retired — all results are
 // complete and every EndAccess/Observer emission fired in program
 // order — then fold the window's counter delta. Workers, the seq

@@ -90,15 +90,11 @@ type Controller struct {
 	bucketsBuf []block.Bucket  // bulk-read results / bulk-write staging
 	evictBufs  [][]block.Block // per-level eviction scratch for bulk writes
 
-	// pipe is non-nil while a pipelined dispatch window with the serial
-	// serve stage is active (StartPipeline..StopPipeline); ReadRange and
-	// WriteLevel then route through the overlapped fetch/writeback
-	// stages. cs is its concurrent-serve counterpart (ServeWorkers >= 2):
-	// ReadRange/WriteLevel/DeferServe then only *record* the access and
-	// CommitAccess hands it to the dependency-tracked scheduler. At most
-	// one of the two is non-nil. pipeStats accumulates counters across
-	// completed windows of either kind.
-	pipe      *pipeline
+	// cs is non-nil while a pipelined session is open
+	// (StartPipelineOpts..StopPipeline): ReadRange/WriteLevel/DeferServe
+	// then only *record* the access and CommitAccess hands it to the
+	// dependency-tracked scheduler. pipeStats accumulates counters across
+	// completed windows.
 	cs        *cserve
 	pipeStats PipelineStats
 	// seamStart is the wall-clock instant the last pipelined window
@@ -220,10 +216,11 @@ func (c *Controller) ReadRange(label tree.Label, fromLevel uint, dst []tree.Node
 		return dst, c.err
 	}
 	if c.cs != nil {
-		return c.cs.readRange(label, fromLevel, dst)
-	}
-	if c.pipe != nil {
-		return c.pipe.readRange(label, fromLevel, dst)
+		dst, err := c.cs.readRange(label, fromLevel, dst)
+		if err != nil {
+			c.err = err // a prefetch mismatch is an engine bug: fail-stop
+		}
+		return dst, err
 	}
 	if c.bulk != nil {
 		return c.readRangeBulk(label, fromLevel, dst)
@@ -340,9 +337,6 @@ func (c *Controller) WriteLevel(label tree.Label, level uint) (tree.Node, error)
 	if c.cs != nil {
 		return c.cs.writeLevel(label, level)
 	}
-	if c.pipe != nil {
-		return c.pipe.writeLevel(label, level)
-	}
 	n := c.tr.NodeAt(label, level)
 	c.evictBuf = c.stash.EvictAppend(c.evictBuf[:0], n, c.z)
 	bk := block.Bucket{Blocks: c.evictBuf}
@@ -365,7 +359,7 @@ func (c *Controller) FetchBlock(op Op, addr uint64, newLabel tree.Label, data []
 }
 
 // applyFetch is the stash-side core of FetchBlock, free of controller
-// error-state reads so the concurrent serve stage's workers can run it
+// error-state reads so the pipelined serve stage's workers can run it
 // under the stash lock (errors are latched by the scheduler instead).
 func (c *Controller) applyFetch(op Op, addr uint64, newLabel tree.Label, data []byte) ([]byte, error) {
 	if addr == block.DummyAddr {
@@ -402,12 +396,12 @@ func (c *Controller) applyFetch(op Op, addr uint64, newLabel tree.Label, data []
 }
 
 // DeferServe registers one request's stash work (the FetchBlock of Step
-// 4) on the access currently being recorded by the concurrent serve
+// 4) on the access currently being recorded by the pipelined serve
 // stage, instead of executing it now. done is invoked with FetchBlock's
 // results when the access's turn executes on a serve worker (program
 // order per address is preserved by the dependency scheduler). It
-// reports false — and does nothing — when no concurrent window is
-// active; the caller then performs FetchBlock itself.
+// reports false — and does nothing — when no pipelined session is
+// open; the caller then performs FetchBlock itself.
 func (c *Controller) DeferServe(op Op, addr uint64, newLabel tree.Label, data []byte, done func([]byte, error)) bool {
 	if c.cs == nil {
 		return false
@@ -418,7 +412,7 @@ func (c *Controller) DeferServe(op Op, addr uint64, newLabel tree.Label, data []
 
 // AccessDeps is the engine-reported dependency footprint of a finished
 // access (see fork.Deps), cross-checked by CommitAccess against what the
-// concurrent stage recorded — a tripwire for schedule divergence.
+// pipelined stage recorded — a tripwire for schedule divergence.
 type AccessDeps struct {
 	Key      uint64
 	Label    tree.Label
@@ -428,10 +422,10 @@ type AccessDeps struct {
 }
 
 // CommitAccess seals the access currently being recorded by the
-// concurrent serve stage and hands it to the dependency-tracked
+// pipelined serve stage and hands it to the dependency-tracked
 // scheduler. Call once per access, after the engine's Finish. It returns
 // any error a stage has latched so far (the drive loop's poll point).
-// No-op outside a concurrent window.
+// No-op outside a pipelined session.
 func (c *Controller) CommitAccess(deps AccessDeps) error {
 	if c.cs == nil {
 		return nil
@@ -445,8 +439,8 @@ func (c *Controller) CommitAccess(deps AccessDeps) error {
 	return nil
 }
 
-// EndAccess records stash statistics for one completed request. Under
-// the concurrent serve stage the sample is deferred to the access's
+// EndAccess records stash statistics for one completed request. Inside
+// a pipelined session the sample is deferred to the access's
 // program-order retire (the stash is worker-owned mid-window).
 func (c *Controller) EndAccess() {
 	if c.cs != nil {

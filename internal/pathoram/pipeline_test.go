@@ -3,6 +3,8 @@ package pathoram
 import (
 	"bytes"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 
 	"forkoram/internal/block"
@@ -34,13 +36,26 @@ func pipeHarness(t *testing.T, tr tree.Tree, geo block.Geometry, labels []tree.L
 	return c
 }
 
+// startPipeline opens a pipelined session of the given depth or fails
+// the test.
+func startPipeline(t *testing.T, c *Controller, depth int) {
+	t.Helper()
+	ok, err := c.StartPipelineOpts(PipelineOpts{Depth: depth})
+	if err != nil || !ok {
+		t.Fatalf("StartPipelineOpts(depth %d) = %v, %v on a bulk backend", depth, ok, err)
+	}
+}
+
 // TestPipelineMatchesSerial drives two identically-seeded controllers
 // through the same fork-style access sequence — merged reads from the
-// overlap level, per-level leaf-to-root refills stopping at the overlap
-// with the next label — one serially and one inside a pipelined window
-// with prefetch hints. Every adversary-visible node sequence, the final
-// stash, and the final medium must match: the pipeline may overlap
-// stages in time, never change what they do.
+// overlap level, one served block per access where one is on the path
+// (a dummy traversal otherwise), per-level leaf-to-root refills stopping
+// at the overlap with the next label — one serially and one inside a
+// pipelined session with prefetch hints, deferred serves and committed
+// footprints. Every adversary-visible node sequence (read and written,
+// in program order), every served payload, the final stash, and the
+// final medium must match: the pipeline may overlap stages in time,
+// never change what they do.
 func TestPipelineMatchesSerial(t *testing.T) {
 	tr := tree.MustNew(6)
 	geo := block.Geometry{Z: 4, PayloadSize: 64}
@@ -48,15 +63,24 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 	src := rng.New(99)
 	labels := make([]tree.Label, steps)
+	relabels := make([]tree.Label, steps)
 	for i := range labels {
 		labels[i] = tree.Label(src.Uint64n(tr.Leaves()))
+		relabels[i] = tree.Label(src.Uint64n(tr.Leaves()))
 	}
 
-	// drive runs the access sequence; prefetch toggles the pipelined
-	// hints (ignored by a serial controller). Returns the concatenated
-	// read-node trace.
-	drive := func(c *Controller, pipelined bool) []tree.Node {
-		var trace []tree.Node
+	type trace struct {
+		reads, writes []tree.Node
+		served        [][]byte // per step; nil for a dummy traversal
+	}
+	// drive runs the access sequence, serially or inside a session.
+	drive := func(c *Controller, pipelined bool) *trace {
+		out := &trace{served: make([][]byte, steps)}
+		var mu sync.Mutex // deferred serves complete on stage workers
+		pos := make(map[uint64]tree.Label, seedBlocks)
+		for a := 0; a < seedBlocks; a++ {
+			pos[uint64(a)] = labels[a%len(labels)]
+		}
 		var buf []tree.Node
 		for i, label := range labels {
 			from := uint(0)
@@ -69,52 +93,95 @@ func TestPipelineMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: read: %v", i, err)
 				}
-				trace = append(trace, buf...)
+				out.reads = append(out.reads, buf...)
+			}
+			// The whole path is in the stash now (the unread prefix was
+			// never written back), so any block mapped to label is too.
+			served := false
+			for a := uint64(0); a < seedBlocks; a++ {
+				if pos[a] != label {
+					continue
+				}
+				pos[a] = relabels[i]
+				data := payload(geo.PayloadSize, byte(i))
+				if pipelined {
+					if !c.DeferServe(OpWrite, a, relabels[i], data, func(o []byte, err error) {
+						mu.Lock()
+						out.served[i] = o
+						mu.Unlock()
+					}) {
+						t.Fatalf("step %d: DeferServe refused inside a session", i)
+					}
+				} else {
+					o, err := c.FetchBlock(OpWrite, a, relabels[i], data)
+					if err != nil {
+						t.Fatalf("step %d: fetch: %v", i, err)
+					}
+					out.served[i] = o
+				}
+				served = true
+				break
 			}
 			stop := uint(0)
 			if i+1 < len(labels) {
 				stop = tr.Overlap(label, labels[i+1])
 			}
 			for lvl := int(tr.LeafLevel()); lvl >= int(stop); lvl-- {
-				if _, err := c.WriteLevel(label, uint(lvl)); err != nil {
+				n, err := c.WriteLevel(label, uint(lvl))
+				if err != nil {
 					t.Fatalf("step %d: write level %d: %v", i, lvl, err)
 				}
+				out.writes = append(out.writes, n)
 			}
 			if pipelined {
-				if err := c.FlushWriteback(); err != nil {
-					t.Fatalf("step %d: flush: %v", i, err)
+				if err := c.CommitAccess(AccessDeps{Label: label, ReadFrom: from, Stop: stop, Dummy: !served}); err != nil {
+					t.Fatalf("step %d: commit: %v", i, err)
 				}
 				if i+1 < len(labels) {
-					nextFrom := tr.Overlap(label, labels[i+1])
-					if nextFrom <= tr.LeafLevel() {
+					if nextFrom := tr.Overlap(label, labels[i+1]); nextFrom <= tr.LeafLevel() {
 						c.Prefetch(labels[i+1], nextFrom)
 					}
 				}
 			}
 			c.EndAccess()
 		}
-		return trace
+		return out
 	}
 
 	ref := pipeHarness(t, tr, geo, labels, seedBlocks)
-	refTrace := drive(ref, false)
+	refOut := drive(ref, false)
 
 	pip := pipeHarness(t, tr, geo, labels, seedBlocks)
-	if !pip.StartPipeline(4) {
-		t.Fatal("StartPipeline refused on a bulk backend")
-	}
-	pipTrace := drive(pip, true)
+	startPipeline(t, pip, 4)
+	pipOut := drive(pip, true)
 	if err := pip.StopPipeline(); err != nil {
 		t.Fatalf("StopPipeline: %v", err)
 	}
 
-	if len(refTrace) != len(pipTrace) {
-		t.Fatalf("trace lengths diverged: %d vs %d", len(refTrace), len(pipTrace))
-	}
-	for i := range refTrace {
-		if refTrace[i] != pipTrace[i] {
-			t.Fatalf("read trace diverged at %d: %d vs %d", i, refTrace[i], pipTrace[i])
+	for _, side := range []struct {
+		name     string
+		ref, pip []tree.Node
+	}{{"read", refOut.reads, pipOut.reads}, {"write", refOut.writes, pipOut.writes}} {
+		if len(side.ref) != len(side.pip) {
+			t.Fatalf("%s trace lengths diverged: %d vs %d", side.name, len(side.ref), len(side.pip))
 		}
+		for i := range side.ref {
+			if side.ref[i] != side.pip[i] {
+				t.Fatalf("%s trace diverged at %d: %d vs %d", side.name, i, side.ref[i], side.pip[i])
+			}
+		}
+	}
+	reals := 0
+	for i := range refOut.served {
+		if (refOut.served[i] == nil) != (pipOut.served[i] == nil) || !bytes.Equal(refOut.served[i], pipOut.served[i]) {
+			t.Fatalf("step %d: served payload diverged", i)
+		}
+		if refOut.served[i] != nil {
+			reals++
+		}
+	}
+	if reals == 0 || reals == steps {
+		t.Fatalf("%d of %d steps served a block: want a real/dummy mix", reals, steps)
 	}
 
 	st := pip.PipelineStats()
@@ -126,6 +193,9 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	}
 	if st.Writebacks == 0 {
 		t.Fatalf("pipeline never wrote back: %+v", st)
+	}
+	if w, g := ref.stash.Stats().Accesses, pip.stash.Stats().Accesses; w != g {
+		t.Fatalf("stash samples diverged: %d vs %d", w, g)
 	}
 
 	// Final stash: identical occupancy and identical blocks.
@@ -179,27 +249,38 @@ func TestPipelineStartGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := func(c *Controller, depth int) bool {
+		t.Helper()
+		ok, err := c.StartPipelineOpts(PipelineOpts{Depth: depth})
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		return ok
+	}
 
 	serial, err := NewController(Config{Tree: tr, StashCapacity: 100}, noBulk{st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.StartPipeline(4) {
-		t.Fatal("StartPipeline engaged without a bulk backend")
+	if start(serial, 4) {
+		t.Fatal("pipeline engaged without a bulk backend")
 	}
 
 	c, err := NewController(Config{Tree: tr, StashCapacity: 100}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.StartPipeline(1) {
-		t.Fatal("StartPipeline engaged at depth 1 (serial by definition)")
+	if start(c, 1) {
+		t.Fatal("pipeline engaged at depth 1 (serial by definition)")
 	}
-	if !c.StartPipeline(2) {
-		t.Fatal("StartPipeline refused a valid depth-2 request")
+	if !start(c, 2) {
+		t.Fatal("pipeline refused a valid depth-2 request")
 	}
-	if c.StartPipeline(2) {
-		t.Fatal("StartPipeline engaged twice without StopPipeline")
+	if start(c, 2) {
+		t.Fatal("pipeline engaged twice without StopPipeline")
+	}
+	if !c.DeferServe(OpRead, 0, 0, nil, nil) {
+		t.Fatal("DeferServe refused inside an open session")
 	}
 	if err := c.StopPipeline(); err != nil {
 		t.Fatalf("StopPipeline on idle pipeline: %v", err)
@@ -207,17 +288,20 @@ func TestPipelineStartGates(t *testing.T) {
 	if st := c.PipelineStats(); st.Windows != 1 {
 		t.Fatalf("want 1 window recorded, got %d", st.Windows)
 	}
+	if c.DeferServe(OpRead, 0, 0, nil, nil) {
+		t.Fatal("DeferServe accepted work outside a session")
+	}
 
 	c.err = errors.New("already failed")
-	if c.StartPipeline(2) {
-		t.Fatal("StartPipeline engaged on a failed controller")
+	if start(c, 2) {
+		t.Fatal("pipeline engaged on a failed controller")
 	}
 }
 
-// TestStartPipelineOptsValidation pins the typed rejection and clamping
-// edges of StartPipelineOpts: nonsensical geometry is an error (not a
-// silent serial fallback), and an over-provisioned worker pool clamps
-// to the window depth with the clamp surfaced as a stat.
+// TestStartPipelineOptsValidation pins the typed rejection edges of
+// StartPipelineOpts: a nonsensical depth is an error (not a silent
+// serial fallback), depth 1 is the serial path, and any deeper window
+// engages.
 func TestStartPipelineOptsValidation(t *testing.T) {
 	tr := tree.MustNew(4)
 	geo := block.Geometry{Z: 4, PayloadSize: 32}
@@ -227,13 +311,10 @@ func TestStartPipelineOptsValidation(t *testing.T) {
 		opts    PipelineOpts
 		wantErr error
 		started bool
-		clamps  uint64
 	}{
 		{name: "depth zero", opts: PipelineOpts{Depth: 0}, wantErr: ErrPipelineDepth},
 		{name: "depth negative", opts: PipelineOpts{Depth: -3}, wantErr: ErrPipelineDepth},
-		{name: "writeback queue negative", opts: PipelineOpts{Depth: 4, WritebackQueue: -1}, wantErr: ErrWritebackQueue},
-		{name: "workers clamp to depth", opts: PipelineOpts{Depth: 2, ServeWorkers: 8}, started: true, clamps: 1},
-		{name: "workers within depth", opts: PipelineOpts{Depth: 4, ServeWorkers: 2}, started: true},
+		{name: "depth four", opts: PipelineOpts{Depth: 4}, started: true},
 		{name: "depth one is serial", opts: PipelineOpts{Depth: 1}}, // gate, not an error
 	}
 	for _, tc := range cases {
@@ -270,33 +351,35 @@ func TestStartPipelineOptsValidation(t *testing.T) {
 				t.Fatalf("%s: stop: %v", tc.name, err)
 			}
 		}
-		if got := c.PipelineStats().WorkerClamps; got != tc.clamps {
-			t.Fatalf("%s: WorkerClamps %d, want %d", tc.name, got, tc.clamps)
-		}
 	}
 }
 
 // failingBulk wraps a BulkBackend and fails WriteBuckets after a set
 // number of calls — the worker-side failure the pipeline must latch.
+// Writebacks run on stage goroutines, so the budget is locked.
 type failingBulk struct {
 	storage.BulkBackend
+	mu        sync.Mutex
 	remaining int
 }
 
 var errBulkWrite = errors.New("injected bulk write failure")
 
 func (f *failingBulk) WriteBuckets(ns []tree.Node, bks []block.Bucket) error {
-	if f.remaining <= 0 {
+	f.mu.Lock()
+	fail := f.remaining <= 0
+	f.remaining--
+	f.mu.Unlock()
+	if fail {
 		return errBulkWrite
 	}
-	f.remaining--
 	return f.BulkBackend.WriteBuckets(ns, bks)
 }
 
 // TestPipelineWritebackErrorFailStops verifies that a writeback failure
-// on the worker surfaces (at the latest) at StopPipeline and fail-stops
-// the controller — the planned evictions are lost, exactly like a serial
-// write failure.
+// on a stage worker surfaces (at the latest) at StopPipeline and
+// fail-stops the controller — the planned evictions are lost, exactly
+// like a serial write failure.
 func TestPipelineWritebackErrorFailStops(t *testing.T) {
 	tr := tree.MustNew(5)
 	geo := block.Geometry{Z: 4, PayloadSize: 32}
@@ -308,9 +391,7 @@ func TestPipelineWritebackErrorFailStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.StartPipeline(2) {
-		t.Fatal("StartPipeline refused")
-	}
+	startPipeline(t, c, 2)
 	var derr error
 	for i := 0; i < 8 && derr == nil; i++ {
 		label := tree.Label(uint64(i) % tr.Leaves())
@@ -321,7 +402,7 @@ func TestPipelineWritebackErrorFailStops(t *testing.T) {
 			_, derr = c.WriteLevel(label, uint(lvl))
 		}
 		if derr == nil {
-			derr = c.FlushWriteback()
+			derr = c.CommitAccess(AccessDeps{Label: label, ReadFrom: 0, Stop: 0, Dummy: true})
 		}
 		c.EndAccess()
 	}
@@ -351,17 +432,99 @@ func TestPipelinePrefetchMismatchFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.StartPipeline(2) {
-		t.Fatal("StartPipeline refused")
-	}
+	startPipeline(t, c, 2)
 	c.Prefetch(3, 0)
-	if _, err := c.ReadRange(5, 0, nil); err == nil {
-		t.Fatal("mismatched prefetch consumed without error")
+	if _, err := c.ReadRange(5, 0, nil); err == nil || !strings.Contains(err.Error(), "prefetch mismatch") {
+		t.Fatalf("mismatched prefetch consumed: err %v", err)
 	}
 	if c.Err() == nil {
 		t.Fatal("mismatch did not fail-stop the controller")
 	}
 	if err := c.StopPipeline(); err == nil {
 		t.Fatal("StopPipeline cleared a fail-stopped controller")
+	}
+}
+
+// TestPipelineCommitDivergenceFaults fires the stage's other engine-bug
+// tripwire: an access whose engine-reported footprint (label, first
+// level read, lowest level written, dummy flag) disagrees with what the
+// stage recorded must be refused at CommitAccess — executing a plan the
+// engine did not schedule would break trace equivalence — and must
+// fail-stop the controller.
+func TestPipelineCommitDivergenceFaults(t *testing.T) {
+	tr := tree.MustNew(5)
+	geo := block.Geometry{Z: 4, PayloadSize: 32}
+	leaf := tr.LeafLevel()
+	const label = tree.Label(5)
+	cases := []struct {
+		name  string
+		serve bool
+		deps  AccessDeps
+		want  string
+	}{
+		{"label", true, AccessDeps{Label: 6, ReadFrom: 2, Stop: 3}, "footprint divergence"},
+		{"read level", true, AccessDeps{Label: label, ReadFrom: 1, Stop: 3}, "footprint divergence"},
+		{"stop level", true, AccessDeps{Label: label, ReadFrom: 2, Stop: leaf + 1}, "footprint divergence"},
+		{"serve under dummy", true, AccessDeps{Label: label, ReadFrom: 2, Stop: 3, Dummy: true}, "serve divergence"},
+		{"real without serve", false, AccessDeps{Label: label, ReadFrom: 2, Stop: 3}, "serve divergence"},
+	}
+	for _, tc := range cases {
+		st, err := storage.NewMem(tr, geo, make([]byte, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewController(Config{Tree: tr, StashCapacity: 200, TrackData: true}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		startPipeline(t, c, 2)
+		// A well-formed recording: read [2, L], serve, write [3, L].
+		if _, err := c.ReadRange(label, 2, nil); err != nil {
+			t.Fatalf("%s: read: %v", tc.name, err)
+		}
+		if tc.serve {
+			c.DeferServe(OpRead, 7, 1, nil, nil)
+		}
+		for lvl := int(leaf); lvl >= 3; lvl-- {
+			if _, err := c.WriteLevel(label, uint(lvl)); err != nil {
+				t.Fatalf("%s: write: %v", tc.name, err)
+			}
+		}
+		err = c.CommitAccess(tc.deps)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: commit error %v, want %q", tc.name, err, tc.want)
+		}
+		if c.Err() == nil {
+			t.Fatalf("%s: divergence did not fail-stop the controller", tc.name)
+		}
+		if err := c.StopPipeline(); err == nil {
+			t.Fatalf("%s: StopPipeline cleared a fail-stopped controller", tc.name)
+		}
+	}
+
+	// The well-formed footprint of the same recording commits cleanly.
+	st, err := storage.NewMem(tr, geo, make([]byte, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewController(Config{Tree: tr, StashCapacity: 200, TrackData: true}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startPipeline(t, c, 2)
+	if _, err := c.ReadRange(label, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.DeferServe(OpRead, 7, 1, nil, nil)
+	for lvl := int(leaf); lvl >= 3; lvl-- {
+		if _, err := c.WriteLevel(label, uint(lvl)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CommitAccess(AccessDeps{Label: label, ReadFrom: 2, Stop: 3}); err != nil {
+		t.Fatalf("well-formed commit refused: %v", err)
+	}
+	if err := c.StopPipeline(); err != nil {
+		t.Fatalf("stop after a well-formed access: %v", err)
 	}
 }

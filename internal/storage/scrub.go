@@ -11,14 +11,14 @@ import (
 // so operators can see whether damage clusters near the treetop (hot,
 // cached) or the leaves (cold, disk-resident).
 type ScrubStats struct {
-	Slices         uint64   // scrub slices executed
-	Frames         uint64   // frames audited
-	Torn           uint64   // torn/CRC-failed frames (FrameError)
-	Undecodable    uint64   // frames whose sealed image fails decrypt/decode
-	HashMismatches uint64   // Merkle verification failures (Integrity enabled)
-	TierDivergence uint64   // medium disagrees with the healthy RAM tier
-	Repaired       uint64   // corrupt frames rewritten from a healthy copy
-	Unrepairable   uint64   // corrupt frames with no healthy copy to repair from
+	Slices          uint64   // scrub slices executed
+	Frames          uint64   // frames audited
+	Torn            uint64   // torn/CRC-failed frames (FrameError)
+	Undecodable     uint64   // frames whose sealed image fails decrypt/decode
+	HashMismatches  uint64   // Merkle verification failures (Integrity enabled)
+	TierDivergence  uint64   // medium disagrees with the healthy RAM tier
+	Repaired        uint64   // corrupt frames rewritten from a healthy copy
+	Unrepairable    uint64   // corrupt frames with no healthy copy to repair from
 	PerLevelCorrupt []uint64 // corrupt frames by tree level
 }
 

@@ -73,8 +73,6 @@ type Medium interface {
 	BulkBackend
 	// Tree returns the tree shape the medium was laid out for.
 	Tree() tree.Tree
-	// SetBulkWorkers bounds the crypto fan-out of bulk calls.
-	SetBulkWorkers(n int)
 	// Reset reverts every bucket to never-written (a freshly created
 	// device assumes an empty tree; stale frames from a previous
 	// incarnation are dead state, recovered — if at all — from a

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// TestMCSweepSmoke runs the multi-core serve-stage sweep at toy scale:
-// every (gomaxprocs, depth, workers) cell must measure a positive rate,
-// every entry must be stamped with the GOMAXPROCS it actually ran
-// under, and the concurrent cells must beat the depth-1 serial
-// baseline on overlapped simulated-remote round trips.
+// TestMCSweepSmoke runs the multi-core pipeline sweep at toy scale:
+// every (gomaxprocs, depth) cell must measure a positive rate, every
+// entry must be stamped with the GOMAXPROCS it actually ran under, and
+// the pipelined cells must beat the depth-1 serial baseline on
+// overlapped simulated-remote round trips.
 func TestMCSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mc sweep smoke is seconds-long")
@@ -34,20 +34,20 @@ func TestMCSweepSmoke(t *testing.T) {
 			t.Fatalf("cell missing gomaxprocs/numcpu stamp: %+v", run)
 		}
 		if run.Run.OpsPerSec <= 0 {
-			t.Fatalf("cell gmp=%d depth=%d workers=%d measured nothing", run.Gomaxprocs, run.Depth, run.Workers)
+			t.Fatalf("cell gmp=%d depth=%d measured nothing", run.Gomaxprocs, run.Depth)
 		}
-		if run.Workers >= 2 && run.Run.Pipeline.Windows == 0 {
-			t.Errorf("concurrent cell gmp=%d depth=%d workers=%d never entered the pipeline", run.Gomaxprocs, run.Depth, run.Workers)
+		if run.Depth >= 2 && run.Run.Pipeline.Windows == 0 {
+			t.Errorf("pipelined cell gmp=%d depth=%d never entered the pipeline", run.Gomaxprocs, run.Depth)
 		}
 	}
-	if res.BestWorkers < 2 {
-		t.Fatalf("best cell is not concurrent: %+v", res)
+	if res.BestDepth < 2 {
+		t.Fatalf("best cell is not pipelined: %+v", res)
 	}
 	// With per-bulk-call remote RTTs dominating, overlapping fetches and
 	// writebacks across in-flight accesses must beat serial depth 1 even
 	// on one core; the acceptance bar for the real sweep is 1.3x.
 	if res.BestSpeedup < 1.3 {
-		t.Errorf("best concurrent speedup %.2fx < 1.3x (gmp=%d depth=%d workers=%d)",
-			res.BestSpeedup, res.BestGomaxprocs, res.BestDepth, res.BestWorkers)
+		t.Errorf("best pipelined speedup %.2fx < 1.3x (gmp=%d depth=%d)",
+			res.BestSpeedup, res.BestGomaxprocs, res.BestDepth)
 	}
 }

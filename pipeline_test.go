@@ -3,8 +3,10 @@ package forkoram
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"forkoram/internal/block"
@@ -77,23 +79,21 @@ func pipelineBatches(blocks uint64, blockSize int) [][]BatchOp {
 	return out
 }
 
-// TestPipelineDepthTraceEquivalence is the tentpole's security and
-// correctness pin: a Fork device at PipelineDepth=4 — with the serve
-// stage serial (ServeWorkers 1) or concurrent (ServeWorkers 2 and 4),
-// window-barriered or cross-window — must produce the exact public
+// TestPipelineDepthTraceEquivalence is the pipeline's security and
+// correctness pin: a Fork device at PipelineDepth 2, 3, 4 and 8 — its
+// session persisting across the Batches — must produce the exact public
 // access sequence of the serial device (depth 1), identical batch
 // results, identical bucket-traffic counters, an identical post-run
 // Snapshot, and a logically identical medium. The pipeline may only
 // move work in time.
 func TestPipelineDepthTraceEquivalence(t *testing.T) {
 	const blocks, blockSize = 96, 48
-	run := func(depth, workers int, xw bool) (*obsTrace, [][][]byte, *Device, []byte) {
+	run := func(depth int) (*obsTrace, [][][]byte, *Device, []byte) {
 		tr := &obsTrace{}
 		d, err := NewDevice(DeviceConfig{
 			Blocks: blocks, BlockSize: blockSize, Variant: Fork,
-			Seed: 9, QueueSize: 8, PipelineDepth: depth, ServeWorkers: workers,
-			CrossWindow: xw,
-			Observer:    tr.hook(),
+			Seed: 9, QueueSize: 8, PipelineDepth: depth,
+			Observer: tr.hook(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -102,80 +102,78 @@ func TestPipelineDepthTraceEquivalence(t *testing.T) {
 		for _, ops := range pipelineBatches(blocks, blockSize) {
 			out, err := d.Batch(ops)
 			if err != nil {
-				t.Fatalf("depth %d workers %d xw %v: batch: %v", depth, workers, xw, err)
+				t.Fatalf("depth %d: batch: %v", depth, err)
 			}
 			results = append(results, out)
 		}
 		snap, err := d.Snapshot()
 		if err != nil {
-			t.Fatalf("depth %d workers %d xw %v: snapshot: %v", depth, workers, xw, err)
+			t.Fatalf("depth %d: snapshot: %v", depth, err)
 		}
 		raw, err := snap.MarshalBinary()
 		if err != nil {
-			t.Fatalf("depth %d workers %d xw %v: marshal: %v", depth, workers, xw, err)
+			t.Fatalf("depth %d: marshal: %v", depth, err)
 		}
 		return tr, results, d, raw
 	}
 
-	refTrace, refOut, refDev, refSnap := run(1, 0, false)
+	refTrace, refOut, refDev, refSnap := run(1)
 	rs := refDev.Stats()
 	if rs.Pipeline.Windows != 0 {
 		t.Fatalf("depth 1 engaged the pipeline: %+v", rs.Pipeline)
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		for _, xw := range []bool{false, true} {
-			pipTrace, pipOut, pipDev, pipSnap := run(4, workers, xw)
-			id := fmt.Sprintf("workers %d xw %v", workers, xw)
-			if err := refTrace.equal(pipTrace); err != nil {
-				t.Fatalf("%s: public access sequence diverged: %v", id, err)
-			}
-			for b := range refOut {
-				for i := range refOut[b] {
-					if !bytes.Equal(refOut[b][i], pipOut[b][i]) {
-						t.Fatalf("%s: batch %d result %d diverged", id, b, i)
-					}
+	for _, depth := range []int{2, 3, 4, 8} {
+		pipTrace, pipOut, pipDev, pipSnap := run(depth)
+		id := fmt.Sprintf("depth %d", depth)
+		if err := refTrace.equal(pipTrace); err != nil {
+			t.Fatalf("%s: public access sequence diverged: %v", id, err)
+		}
+		for b := range refOut {
+			for i := range refOut[b] {
+				if !bytes.Equal(refOut[b][i], pipOut[b][i]) {
+					t.Fatalf("%s: batch %d result %d diverged", id, b, i)
 				}
 			}
+		}
 
-			ps := pipDev.Stats()
-			if rs.BucketReads != ps.BucketReads || rs.BucketWrites != ps.BucketWrites {
-				t.Fatalf("%s: bucket traffic diverged: reads %d vs %d, writes %d vs %d",
-					id, rs.BucketReads, ps.BucketReads, rs.BucketWrites, ps.BucketWrites)
-			}
-			if ps.Pipeline.Windows == 0 || ps.Pipeline.Prefetches == 0 || ps.Pipeline.Writebacks == 0 {
-				t.Fatalf("%s: depth 4 never engaged the pipeline: %+v", id, ps.Pipeline)
-			}
+		ps := pipDev.Stats()
+		if rs.BucketReads != ps.BucketReads || rs.BucketWrites != ps.BucketWrites {
+			t.Fatalf("%s: bucket traffic diverged: reads %d vs %d, writes %d vs %d",
+				id, rs.BucketReads, ps.BucketReads, rs.BucketWrites, ps.BucketWrites)
+		}
+		if ps.Pipeline.Windows == 0 || ps.Pipeline.Prefetches == 0 || ps.Pipeline.Writebacks == 0 {
+			t.Fatalf("%s: never engaged the pipeline: %+v", id, ps.Pipeline)
+		}
 
-			// Post-run client state (position map, stash, config)
-			// byte-identical. CrossWindow is process-local tuning, so the
-			// snapshot of an xw device must equal the serial one too.
-			if !bytes.Equal(refSnap, pipSnap) {
-				t.Fatalf("%s: post-run snapshots diverged", id)
+		// Post-run client state (position map, stash, config)
+		// byte-identical. PipelineDepth is process-local tuning, so the
+		// snapshot of a pipelined device must equal the serial one.
+		if !bytes.Equal(refSnap, pipSnap) {
+			t.Fatalf("%s: post-run snapshots diverged", id)
+		}
+		// Post-run medium logically identical: same blocks in every bucket
+		// (ciphertexts differ by nonce, contents must not).
+		for n := tree.Node(0); n < tree.Node(refDev.tr.Nodes()); n++ {
+			rb, err := refDev.store.ReadBucket(n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Post-run medium logically identical: same blocks in every bucket
-			// (ciphertexts differ by nonce, contents must not).
-			for n := tree.Node(0); n < tree.Node(refDev.tr.Nodes()); n++ {
-				rb, err := refDev.store.ReadBucket(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := append([]block.Block(nil), rb.Blocks...)
-				for i := range want {
-					want[i].Data = append([]byte(nil), want[i].Data...)
-				}
-				pb, err := pipDev.store.ReadBucket(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) != len(pb.Blocks) {
-					t.Fatalf("%s: bucket %d occupancy diverged: %d vs %d", id, n, len(want), len(pb.Blocks))
-				}
-				for i := range want {
-					if want[i].Addr != pb.Blocks[i].Addr || want[i].Label != pb.Blocks[i].Label ||
-						!bytes.Equal(want[i].Data, pb.Blocks[i].Data) {
-						t.Fatalf("%s: bucket %d block %d diverged", id, n, i)
-					}
+			want := append([]block.Block(nil), rb.Blocks...)
+			for i := range want {
+				want[i].Data = append([]byte(nil), want[i].Data...)
+			}
+			pb, err := pipDev.store.ReadBucket(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != len(pb.Blocks) {
+				t.Fatalf("%s: bucket %d occupancy diverged: %d vs %d", id, n, len(want), len(pb.Blocks))
+			}
+			for i := range want {
+				if want[i].Addr != pb.Blocks[i].Addr || want[i].Label != pb.Blocks[i].Label ||
+					!bytes.Equal(want[i].Data, pb.Blocks[i].Data) {
+					t.Fatalf("%s: bucket %d block %d diverged", id, n, i)
 				}
 			}
 		}
@@ -186,20 +184,22 @@ func TestPipelineDepthTraceEquivalence(t *testing.T) {
 // with concurrent clients — singleton writes, reads, and batches racing
 // into group-commit windows — then verifies every acknowledged write
 // against an oracle. Run under -race this is the pipeline's concurrency
-// stress test (admission racing the staged fetch/writeback workers).
-func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 0, false) }
+// stress test at its shallowest depth (two accesses in flight, one
+// refill queued): admission and singleton session teardown racing the
+// stage workers.
+func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 2, false) }
 
-// TestConcurrentServeServiceStress is the same oracle stress with the
-// concurrent serve/evict stage engaged: worker-pool execution racing
-// admission, multi-slot prefetch, and overlapped writebacks.
-func TestConcurrentServeServiceStress(t *testing.T) { runPipelineServiceStress(t, 3, false) }
+// TestConcurrentServeServiceStress is the same oracle stress with a
+// deeper window: four-way worker-pool execution racing admission,
+// multi-slot prefetch, dependency parking, and overlapped writebacks.
+func TestConcurrentServeServiceStress(t *testing.T) { runPipelineServiceStress(t, 4, false) }
 
 // TestCrossWindowServiceStress piles the cross-window committer/applier
 // split on top: group commit for window W+1 journaling while W executes,
 // with the device pipeline persistent across the seam.
-func TestCrossWindowServiceStress(t *testing.T) { runPipelineServiceStress(t, 3, true) }
+func TestCrossWindowServiceStress(t *testing.T) { runPipelineServiceStress(t, 4, true) }
 
-func runPipelineServiceStress(t *testing.T, serveWorkers int, crossWindow bool) {
+func runPipelineServiceStress(t *testing.T, depth int, crossWindow bool) {
 	const (
 		blocks    = 64
 		blockSize = 32
@@ -209,7 +209,7 @@ func runPipelineServiceStress(t *testing.T, serveWorkers int, crossWindow bool) 
 	svc, err := NewService(ServiceConfig{
 		Device: DeviceConfig{
 			Blocks: blocks, BlockSize: blockSize, Variant: Fork,
-			Seed: 11, QueueSize: 8, PipelineDepth: 4, ServeWorkers: serveWorkers,
+			Seed: 11, QueueSize: 8, PipelineDepth: depth,
 		},
 		QueueDepth:      32,
 		CheckpointEvery: 64,
@@ -299,7 +299,7 @@ func runPipelineServiceStress(t *testing.T, serveWorkers int, crossWindow bool) 
 	}
 }
 
-// TestPipelineStallAccounting pins the concurrent stage's stall
+// TestPipelineStallAccounting pins the pipelined stage's stall
 // bookkeeping: sampled between batches, every PipelineStats counter
 // must be monotone non-decreasing, every wait-count/wait-time pair must
 // agree (time without a count, or a count whose time can only be zero
@@ -311,7 +311,7 @@ func TestPipelineStallAccounting(t *testing.T) {
 	const blocks, blockSize = 96, 48
 	d, err := NewDevice(DeviceConfig{
 		Blocks: blocks, BlockSize: blockSize, Variant: Fork,
-		Seed: 21, QueueSize: 8, PipelineDepth: 4, ServeWorkers: 4,
+		Seed: 21, QueueSize: 8, PipelineDepth: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,10 +383,45 @@ func TestPipelineStallAccounting(t *testing.T) {
 			t.Fatalf("%s: %dns of wait recorded with zero waits", name, p[1])
 		}
 	}
-	// Window-turnaround accounting: every barriered seam (teardown of
-	// window W to first fetch of W+1) is one turnaround, and the first
-	// window has no seam behind it.
+	// Window-turnaround accounting: every seam (retirement of window W
+	// to first fetch of W+1) is one turnaround, and the first window has
+	// no seam behind it.
 	if want := st.Windows - 1; st.WindowTurnarounds != want {
 		t.Fatalf("window turnarounds %d, want one per seam (%d)", st.WindowTurnarounds, want)
+	}
+}
+
+// TestKilledServiceClosesSession: a crash-injected death right after a
+// pipelined window leaves the device session open with its stage
+// goroutines parked. The run loop's exit must join it, under either
+// loop, so Close on the dead incarnation returns with no stage left to
+// write into a medium its successor restores.
+func TestKilledServiceClosesSession(t *testing.T) {
+	for _, xw := range []bool{false, true} {
+		cfg := testServiceConfig(Fork)
+		cfg.Device.PipelineDepth = 4
+		cfg.CrossWindow = xw
+		var armed atomic.Bool
+		cfg.crashHook = func(p CrashPoint) bool { return p == CrashAfterApply && armed.Load() }
+		svc, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		armed.Store(true)
+		ops := []BatchOp{
+			{Addr: 1, Write: true, Data: chaosPayload(32, 5, 1)},
+			{Addr: 2, Write: true, Data: chaosPayload(32, 5, 2)},
+			{Addr: 3},
+		}
+		if _, err := svc.Batch(context.Background(), ops); !errors.Is(err, errKilled) {
+			t.Fatalf("xw %v: batch error %v, want the injected kill", xw, err)
+		}
+		svc.Close()
+		if svc.dev.ctl.PipelineStats().Windows == 0 {
+			t.Fatalf("xw %v: the killed window never pipelined", xw)
+		}
+		if svc.dev.sessionOpen {
+			t.Fatalf("xw %v: dead incarnation left its pipelined session open", xw)
+		}
 	}
 }

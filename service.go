@@ -205,13 +205,14 @@ const (
 	// any frame is audited — the scrub cadence counter is already reset,
 	// so recovery must not depend on scrub progress for correctness.
 	CrashMidScrub
-	// CrashMidServe: on a concurrent serve stage worker, before one
+	// CrashMidServe: on a pipeline serve worker, before one
 	// in-flight access's stash phase — other accesses of the window may
 	// be mid-fetch, mid-serve, or mid-writeback on sibling workers when
 	// the kill lands. The window's group is durable but unacknowledged;
 	// replay must reconstruct it over a medium holding an arbitrary
 	// subset of the window's completed writebacks. Consulted only when
-	// DeviceConfig.ServeWorkers >= 2 engages the concurrent stage.
+	// the intra-shard pipeline engages (DeviceConfig.PipelineDepth > 1
+	// on a multi-op window).
 	CrashMidServe
 	// CrashMidWindowSeam: on the cross-window committer, immediately
 	// after window W+1 was journaled, synced, and handed to the applier
@@ -295,11 +296,11 @@ type ServiceConfig struct {
 	// CrossWindow pipelines the group commit across dispatch windows
 	// (DESIGN.md §16): while window W executes on the device, window
 	// W+1 is gathered, journaled, and fsynced concurrently, and the
-	// handed-over window starts executing the moment W retires —
-	// DeviceConfig.CrossWindow is implied, so the device-side pipeline
-	// also stays primed across the seam. The acknowledgement invariant
-	// is unchanged: a write is acked only after ITS OWN group is
-	// durable AND applied. Default false (the window-barriered
+	// handed-over window starts executing the moment W retires. (The
+	// device-side pipeline stays primed across seams in either loop
+	// whenever DeviceConfig.PipelineDepth >= 2.) The acknowledgement
+	// invariant is unchanged: a write is acked only after ITS OWN group
+	// is durable AND applied. Default false (the window-barriered
 	// scheduler).
 	CrossWindow bool
 	// MaxRecoveries bounds consecutive supervised recoveries (default 8).
@@ -364,9 +365,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	}
 	if c.BurstLinger == 0 {
 		c.BurstLinger = 25 * time.Microsecond
-	}
-	if c.CrossWindow {
-		c.Device.CrossWindow = true
 	}
 	if c.MaxRecoveries == 0 {
 		c.MaxRecoveries = 8
@@ -866,6 +864,7 @@ func (s *Service) deadErr() error {
 // instead of paying one sync per operation.
 func (s *Service) run() {
 	defer close(s.done)
+	defer s.closeSession()
 	for {
 		select {
 		case req := <-s.q:
@@ -895,6 +894,14 @@ func (s *Service) run() {
 	}
 }
 
+// closeSession joins the device's pipelined session when a run loop
+// exits. A clean Close already closed it at the final checkpoint; a
+// crash-injected death can leave it open after a window, and a dead
+// incarnation must keep no stage goroutines. Close returns only after
+// this ran, so a caller that Closes a dead incarnation before reopening
+// its stores knows no old writeback can still land on a shared medium.
+func (s *Service) closeSession() { _ = s.dev.endSession() }
+
 // runXW is the cross-window supervisor (ServiceConfig.CrossWindow): the
 // group commit is split across two goroutines so window W+1's journal
 // append and fsync overlap window W's device execution. This goroutine
@@ -905,6 +912,7 @@ func (s *Service) run() {
 // overlaps is machinery, not acknowledgement.
 func (s *Service) runXW() {
 	defer close(s.done)
+	defer s.closeSession() // after the applier exits (defers run LIFO)
 	// Cap 1 gives three windows of lookahead at most: one executing on
 	// the applier, one buffered durable, one being journaled here.
 	applyCh := make(chan *xwWindow, 1)
@@ -1241,20 +1249,21 @@ func (s *Service) xwApplyWindow(w *xwWindow) {
 		s.xwDie()
 		return
 	}
+	// Count before acking, as commitGroup does.
 	muts := 0
 	for i, req := range w.live {
 		sp := w.spans[i]
 		switch req.kind {
 		case reqRead:
-			req.resp <- svcResp{data: out[sp.start]}
 			s.bump(func(t *ServiceStats) { t.Reads++ })
+			req.resp <- svcResp{data: out[sp.start]}
 		case reqWrite:
-			req.resp <- svcResp{}
 			s.bump(func(t *ServiceStats) { t.Writes++ })
+			req.resp <- svcResp{}
 			muts++
 		case reqBatch:
-			req.resp <- svcResp{batch: out[sp.start:sp.end:sp.end]}
 			s.bump(func(t *ServiceStats) { t.Batches++ })
+			req.resp <- svcResp{batch: out[sp.start:sp.end:sp.end]}
 			muts++
 		}
 	}
@@ -1572,21 +1581,23 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 
 	// Distribute by span and ack. Three-index slicing caps each batch
 	// response at its own region of the combined result, so one client
-	// appending to its result cannot reach a neighbour's.
+	// appending to its result cannot reach a neighbour's. Each op is
+	// counted before its ack is sent, so a client reading Stats() right
+	// after its call returns always sees its own op.
 	muts := 0
 	for i, req := range live {
 		sp := spans[i]
 		switch req.kind {
 		case reqRead:
-			req.resp <- svcResp{data: out[sp.start]}
 			s.bump(func(t *ServiceStats) { t.Reads++ })
+			req.resp <- svcResp{data: out[sp.start]}
 		case reqWrite:
-			req.resp <- svcResp{}
 			s.bump(func(t *ServiceStats) { t.Writes++ })
+			req.resp <- svcResp{}
 			muts++
 		case reqBatch:
-			req.resp <- svcResp{batch: out[sp.start:sp.end:sp.end]}
 			s.bump(func(t *ServiceStats) { t.Batches++ })
+			req.resp <- svcResp{batch: out[sp.start:sp.end:sp.end]}
 			muts++
 		}
 	}

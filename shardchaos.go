@@ -287,16 +287,14 @@ func runShardedCrashSchedule(rep *ShardedCrashReport, cfg ShardedCrashChaosConfi
 				Integrity: idx%2 == 0,
 				Retries:   retries,
 				Faults:    fc,
-				// Staged pipeline on plain-medium schedules (no-op under
-				// the decorators), so shard kills land mid-window too;
-				// odd schedules fan the serve stage across workers so
-				// kills also land mid-serve (CrashMidServe).
-				PipelineDepth: 2 + 2*int(idx%2),
-				ServeWorkers:  2 * int(idx%2),
+				// Pipelined engine on plain-medium schedules (no-op
+				// under the decorators), so shard kills land mid-window
+				// and mid-serve (CrashMidServe) too.
+				PipelineDepth: 4,
 			},
 			// Odd schedules also pipeline across dispatch windows, so
 			// shard kills land on the committer/applier seam
-			// (CrashMidWindowSeam) with the serve stage fanned out.
+			// (CrashMidWindowSeam).
 			CrossWindow:     idx%2 == 1,
 			QueueDepth:      8,
 			CheckpointEvery: 8,

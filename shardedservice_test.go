@@ -453,7 +453,7 @@ func TestShardedPerShardTraces(t *testing.T) {
 			ops := []BatchOp{
 				{Addr: uint64(i) % blocks},
 				{Addr: uint64(i+1) % blocks, Write: true, Data: payload32(byte(i))},
-				{Addr: uint64(i + 2*shards) % blocks},
+				{Addr: uint64(i+2*shards) % blocks},
 			}
 			if _, err := svc.Batch(ctx, ops); err != nil {
 				errCh <- fmt.Errorf("batch client op %d: %w", i, err)

@@ -74,9 +74,9 @@ func (d *Device) snapshot() (*Snapshot, error) {
 	if err := d.ctl.Err(); err != nil {
 		return nil, fmt.Errorf("forkoram: snapshot of failed device: %w", err)
 	}
-	// A persistent cross-window session may still have writebacks in
-	// flight; quiescence requires the full drain + join before the
-	// medium walk below.
+	// An open pipelined session may still have writebacks in flight;
+	// quiescence requires the full drain + join before the medium walk
+	// below.
 	if err := d.endSession(); err != nil {
 		d.poison(err)
 		return nil, d.poisoned
@@ -488,11 +488,7 @@ func UnmarshalSnapshot(data []byte, from *Device) (*Snapshot, error) {
 	s.medium = from.store
 	s.cfg.Observer = from.cfg.Observer
 	s.cfg.Faults = from.cfg.Faults
-	s.cfg.CryptoWorkers = from.cfg.CryptoWorkers
 	s.cfg.PipelineDepth = from.cfg.PipelineDepth
-	s.cfg.ServeWorkers = from.cfg.ServeWorkers
-	s.cfg.WritebackQueue = from.cfg.WritebackQueue
-	s.cfg.CrossWindow = from.cfg.CrossWindow
 	// Storage holds live process-local handles (the medium, remote/retry
 	// shaping); like Observer and Faults it is re-bound from the host
 	// device, never serialized.

@@ -48,14 +48,8 @@ type ServiceBenchConfig struct {
 	Seed uint64
 	// PipelineDepth is forwarded to DeviceConfig.PipelineDepth: 0/1 runs
 	// the serial engine, >=2 lets grouped dispatch windows overlap path
-	// fetch, serve/evict, and writeback across accesses.
+	// fetch, serve/evict, and writeback across up to that many accesses.
 	PipelineDepth int
-	// ServeWorkers is forwarded to DeviceConfig.ServeWorkers: >=2 runs
-	// the concurrent serve/evict stage (multi-request in-flight
-	// execution) inside each pipelined window.
-	ServeWorkers int
-	// WritebackQueue is forwarded to DeviceConfig.WritebackQueue.
-	WritebackQueue int
 	// RemoteLatency, when > 0, interposes a simulated remote storage
 	// tier charging this fixed round-trip cost per bulk call (no
 	// transients). This is what makes latency-overlap benchmarks honest
@@ -63,9 +57,8 @@ type ServiceBenchConfig struct {
 	// even when every goroutine shares one core.
 	RemoteLatency time.Duration
 	// CrossWindow is forwarded to ServiceConfig.CrossWindow: the
-	// committer/applier split plus the persistent device pipeline
-	// session, so window W+1's journal fsync overlaps window W's
-	// execution and the device seam stays primed.
+	// committer/applier split, so window W+1's journal fsync overlaps
+	// window W's execution.
 	CrossWindow bool
 	// GroupLinger is forwarded to ServiceConfig.GroupLinger. The
 	// cross-window sweep sets it on BOTH sides of each pair: with
@@ -193,14 +186,12 @@ func runSvcBench(cfg ServiceBenchConfig, dir, name string, maxGroup int) (Servic
 	var run ServiceBenchRun
 	tmpl := ServiceConfig{
 		Device: DeviceConfig{
-			Blocks:         cfg.Blocks,
-			BlockSize:      cfg.BlockSize,
-			QueueSize:      8,
-			Seed:           cfg.Seed,
-			Variant:        Fork,
-			PipelineDepth:  cfg.PipelineDepth,
-			ServeWorkers:   cfg.ServeWorkers,
-			WritebackQueue: cfg.WritebackQueue,
+			Blocks:        cfg.Blocks,
+			BlockSize:     cfg.BlockSize,
+			QueueSize:     8,
+			Seed:          cfg.Seed,
+			Variant:       Fork,
+			PipelineDepth: cfg.PipelineDepth,
 		},
 		QueueDepth: cfg.QueueDepth,
 		// Checkpoints clone the whole medium; keep them out of the timed
@@ -434,16 +425,15 @@ func RunPipelineSweep(cfg ServiceBenchConfig, depths []int) (PipelineSweepResult
 	return res, nil
 }
 
-// MCSweepRun is one (gomaxprocs, depth, serve-workers) cell of the
-// multi-core sweep. Gomaxprocs and NumCPU are stamped per entry — a
-// sweep claiming multi-core speedup must show the scheduler width each
-// individual number was measured under, not a top-level value that a
-// mid-sweep change could silently betray.
+// MCSweepRun is one (gomaxprocs, depth) cell of the multi-core sweep.
+// Gomaxprocs and NumCPU are stamped per entry — a sweep claiming
+// multi-core speedup must show the scheduler width each individual
+// number was measured under, not a top-level value that a mid-sweep
+// change could silently betray.
 type MCSweepRun struct {
 	Gomaxprocs int             `json:"gomaxprocs"`
 	NumCPU     int             `json:"num_cpu"`
 	Depth      int             `json:"depth"`
-	Workers    int             `json:"serve_workers"`
 	Run        ServiceBenchRun `json:"run"`
 	// Speedup is this cell's OpsPerSec over the depth-1 serial cell at
 	// the SAME gomaxprocs (1.0 for the baseline cells themselves).
@@ -451,9 +441,9 @@ type MCSweepRun struct {
 }
 
 // MCSweepResult is the multi-core scaling baseline: the same grouped,
-// file-journaled write storm measured across a gomaxprocs × depth ×
-// serve-workers grid. Each gomaxprocs level carries its own depth-1
-// serial baseline, so every speedup is same-scheduler-width honest.
+// file-journaled write storm measured across a gomaxprocs × depth grid.
+// Each gomaxprocs level carries its own depth-1 serial baseline, so
+// every speedup is same-scheduler-width honest.
 type MCSweepResult struct {
 	// NumCPU is the host's core count — on a single-core host any
 	// speedup is latency overlap (the simulated remote tier's RTT),
@@ -463,12 +453,11 @@ type MCSweepResult struct {
 	// call paid (0 = in-memory medium only).
 	RemoteLatencyNs int64        `json:"remote_latency_ns"`
 	Runs            []MCSweepRun `json:"runs"`
-	// BestSpeedup / BestGomaxprocs locate the best concurrent-stage
+	// BestSpeedup / BestGomaxprocs / BestDepth locate the best pipelined
 	// cell (the headline the CI guard checks against its gomaxprocs).
 	BestSpeedup    float64 `json:"best_speedup"`
 	BestGomaxprocs int     `json:"best_gomaxprocs"`
 	BestDepth      int     `json:"best_depth"`
-	BestWorkers    int     `json:"best_workers"`
 }
 
 // String renders the sweep as a comparison table for the CLI.
@@ -480,29 +469,28 @@ func (r *MCSweepResult) String() string {
 	}
 	fmt.Fprintf(&b, "service multi-core sweep (%d ops per run, host cores %d, remote RTT %s):\n",
 		ops, r.NumCPU, time.Duration(r.RemoteLatencyNs))
-	fmt.Fprintf(&b, "  %4s  %5s  %7s  %10s  %7s  %10s  %12s  %12s\n",
-		"gmp", "depth", "workers", "ops/s", "speedup", "p99", "dep-wait", "serve-wait")
+	fmt.Fprintf(&b, "  %4s  %5s  %10s  %7s  %10s  %12s  %12s\n",
+		"gmp", "depth", "ops/s", "speedup", "p99", "dep-wait", "serve-wait")
 	for _, c := range r.Runs {
 		p := c.Run.Pipeline
-		fmt.Fprintf(&b, "  %4d  %5d  %7d  %10.0f  %6.2fx  %10s  %12s  %12s\n",
-			c.Gomaxprocs, c.Depth, c.Workers, c.Run.OpsPerSec, c.Speedup,
+		fmt.Fprintf(&b, "  %4d  %5d  %10.0f  %6.2fx  %10s  %12s  %12s\n",
+			c.Gomaxprocs, c.Depth, c.Run.OpsPerSec, c.Speedup,
 			c.Run.P99Latency.Round(time.Microsecond),
 			time.Duration(p.DepWaitNs).Round(time.Microsecond),
 			time.Duration(p.ServeWaitNs).Round(time.Microsecond))
 	}
-	fmt.Fprintf(&b, "  best concurrent cell: %.2fx at GOMAXPROCS=%d depth=%d workers=%d\n",
-		r.BestSpeedup, r.BestGomaxprocs, r.BestDepth, r.BestWorkers)
+	fmt.Fprintf(&b, "  best pipelined cell: %.2fx at GOMAXPROCS=%d depth=%d\n",
+		r.BestSpeedup, r.BestGomaxprocs, r.BestDepth)
 	return b.String()
 }
 
 // RunMCSweep measures the grouped Service write workload across a
-// gomaxprocs × (depth, serve-workers) grid, restoring GOMAXPROCS
-// afterwards. Defaults: gomaxprocs {1, 4}, cells (1,0) serial, (4,1)
-// staged pipeline, (4,4) concurrent serve stage, over a simulated
-// remote tier with a 200µs round trip — the configuration whose
-// latency the concurrent stage exists to overlap. The workload is
-// crypto-light (RunServiceBench geometry) so the remote RTT dominates
-// and the sweep measures overlap, not AES throughput.
+// gomaxprocs × depth grid, restoring GOMAXPROCS afterwards. Defaults:
+// gomaxprocs {1, 4}, depths 1 (serial), 2 and 4, over a simulated
+// remote tier with a 200µs round trip — the configuration whose latency
+// the pipeline exists to overlap. The workload is crypto-light
+// (RunServiceBench geometry) so the remote RTT dominates and the sweep
+// measures overlap, not AES throughput.
 func RunMCSweep(cfg ServiceBenchConfig, gomaxprocs []int) (MCSweepResult, error) {
 	if cfg.RemoteLatency == 0 {
 		cfg.RemoteLatency = 200 * time.Microsecond
@@ -511,7 +499,7 @@ func RunMCSweep(cfg ServiceBenchConfig, gomaxprocs []int) (MCSweepResult, error)
 	if len(gomaxprocs) == 0 {
 		gomaxprocs = []int{1, 4}
 	}
-	cells := [][2]int{{1, 0}, {4, 1}, {4, 4}}
+	depths := []int{1, 2, 4}
 	dir := cfg.Dir
 	if dir == "" {
 		var err error
@@ -527,75 +515,69 @@ func RunMCSweep(cfg ServiceBenchConfig, gomaxprocs []int) (MCSweepResult, error)
 	for _, gmp := range gomaxprocs {
 		runtime.GOMAXPROCS(gmp)
 		var base float64
-		for _, cell := range cells {
+		for _, depth := range depths {
 			ccfg := cfg
-			ccfg.PipelineDepth, ccfg.ServeWorkers = cell[0], cell[1]
-			run, err := runSvcBench(ccfg, dir, fmt.Sprintf("mc.g%d.d%d.w%d", gmp, cell[0], cell[1]), 0)
+			ccfg.PipelineDepth = depth
+			run, err := runSvcBench(ccfg, dir, fmt.Sprintf("mc.g%d.d%d", gmp, depth), 0)
 			if err != nil {
-				return res, fmt.Errorf("forkoram: mc sweep gmp=%d depth=%d workers=%d: %w", gmp, cell[0], cell[1], err)
+				return res, fmt.Errorf("forkoram: mc sweep gmp=%d depth=%d: %w", gmp, depth, err)
 			}
 			c := MCSweepRun{
 				Gomaxprocs: runtime.GOMAXPROCS(0),
 				NumCPU:     runtime.NumCPU(),
-				Depth:      cell[0],
-				Workers:    cell[1],
+				Depth:      depth,
 				Run:        run,
 			}
-			if cell[0] == 1 || base == 0 {
+			if depth == 1 || base == 0 {
 				base = run.OpsPerSec
 			}
 			if base > 0 {
 				c.Speedup = run.OpsPerSec / base
 			}
 			res.Runs = append(res.Runs, c)
-			if cell[1] >= 2 && c.Speedup > res.BestSpeedup {
+			if depth >= 2 && c.Speedup > res.BestSpeedup {
 				res.BestSpeedup = c.Speedup
 				res.BestGomaxprocs = c.Gomaxprocs
 				res.BestDepth = c.Depth
-				res.BestWorkers = c.Workers
 			}
 		}
 	}
 	return res, nil
 }
 
-// XWSweepRun is one (depth, serve-workers) cell measured twice under
-// identical workload, geometry, and journal medium: once with the
-// barriered per-window pipeline (the PR-9 behavior) and once with
-// cross-window pipelining. Gomaxprocs and NumCPU are stamped per entry
-// for the same reason MCSweepRun stamps them: every speedup must show
-// the scheduler width it was measured under.
+// XWSweepRun is one pipeline depth measured twice under identical
+// workload, geometry, and journal medium: once with the window-barriered
+// Service loop and once with the cross-window committer/applier loop.
+// Gomaxprocs and NumCPU are stamped per entry for the same reason
+// MCSweepRun stamps them: every speedup must show the scheduler width
+// it was measured under.
 type XWSweepRun struct {
 	Gomaxprocs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 	Depth      int `json:"depth"`
-	Workers    int `json:"serve_workers"`
-	// Barriered drains the device pipeline and blocks on the group
-	// fsync at every window seam; CrossWindow keeps the session primed
-	// and overlaps the next window's fsync with execution.
+	// Barriered blocks on the group fsync at every window seam;
+	// CrossWindow overlaps the next window's fsync with execution.
 	Barriered   ServiceBenchRun `json:"barriered"`
 	CrossWindow ServiceBenchRun `json:"cross_window"`
-	// Speedup is CrossWindow.OpsPerSec over Barriered.OpsPerSec for
-	// this cell — the two runs differ ONLY in the CrossWindow toggle.
+	// Speedup is CrossWindow.OpsPerSec over Barriered.OpsPerSec at this
+	// depth — the two runs differ ONLY in the CrossWindow toggle.
 	Speedup float64 `json:"speedup"`
 }
 
-// XWSweepResult is the cross-window vs. barriered comparison over a
-// (depth, serve-workers) grid: the same grouped, file-journaled write
-// storm over a simulated remote tier, measured with and without the
-// inter-window barrier at equal depth and workers.
+// XWSweepResult is the cross-window vs. barriered comparison per
+// pipeline depth: the same grouped, file-journaled write storm over a
+// simulated remote tier, measured under both Service run loops.
 type XWSweepResult struct {
 	NumCPU int `json:"num_cpu"`
 	// RemoteLatencyNs echoes the simulated remote round-trip each bulk
 	// call paid (0 = in-memory medium only).
 	RemoteLatencyNs int64        `json:"remote_latency_ns"`
 	Runs            []XWSweepRun `json:"runs"`
-	// BestSpeedup locates the cell where removing the seam barrier
-	// bought the most (the headline the CI guard checks).
+	// BestSpeedup locates the depth where the cross-window loop bought
+	// the most (the headline the CI guard checks).
 	BestSpeedup    float64 `json:"best_speedup"`
 	BestGomaxprocs int     `json:"best_gomaxprocs"`
 	BestDepth      int     `json:"best_depth"`
-	BestWorkers    int     `json:"best_workers"`
 }
 
 // String renders the sweep as a comparison table for the CLI.
@@ -607,8 +589,8 @@ func (r *XWSweepResult) String() string {
 	}
 	fmt.Fprintf(&b, "service cross-window sweep (%d ops per run, host cores %d, remote RTT %s):\n",
 		ops, r.NumCPU, time.Duration(r.RemoteLatencyNs))
-	fmt.Fprintf(&b, "  %4s  %5s  %7s  %12s  %12s  %7s  %14s  %14s\n",
-		"gmp", "depth", "workers", "barrier ops/s", "xw ops/s", "speedup", "barrier seam", "xw seam")
+	fmt.Fprintf(&b, "  %4s  %5s  %12s  %12s  %7s  %14s  %14s\n",
+		"gmp", "depth", "barrier ops/s", "xw ops/s", "speedup", "barrier seam", "xw seam")
 	seam := func(run *ServiceBenchRun) time.Duration {
 		p := run.Pipeline
 		if p.WindowTurnarounds == 0 {
@@ -617,41 +599,40 @@ func (r *XWSweepResult) String() string {
 		return time.Duration(p.WindowTurnaroundNs / p.WindowTurnarounds)
 	}
 	for _, c := range r.Runs {
-		fmt.Fprintf(&b, "  %4d  %5d  %7d  %12.0f  %12.0f  %6.2fx  %14s  %14s\n",
-			c.Gomaxprocs, c.Depth, c.Workers,
+		fmt.Fprintf(&b, "  %4d  %5d  %12.0f  %12.0f  %6.2fx  %14s  %14s\n",
+			c.Gomaxprocs, c.Depth,
 			c.Barriered.OpsPerSec, c.CrossWindow.OpsPerSec, c.Speedup,
 			seam(&c.Barriered).Round(time.Microsecond),
 			seam(&c.CrossWindow).Round(time.Microsecond))
 	}
-	fmt.Fprintf(&b, "  best cross-window cell: %.2fx at GOMAXPROCS=%d depth=%d workers=%d\n",
-		r.BestSpeedup, r.BestGomaxprocs, r.BestDepth, r.BestWorkers)
+	fmt.Fprintf(&b, "  best cross-window depth: %.2fx at GOMAXPROCS=%d depth=%d\n",
+		r.BestSpeedup, r.BestGomaxprocs, r.BestDepth)
 	return b.String()
 }
 
 // RunXWSweep measures the grouped Service write workload at each
-// (depth, serve-workers) cell twice — barriered and cross-window —
-// over a simulated remote tier (default 200µs round trip, the medium
-// whose seam stalls the persistent pipeline exists to hide). Default
-// cells: (2,1) staged pipeline, (4,2) and (4,4) concurrent serve. The
-// pairing is the point: same depth, same workers, same journal, same
-// payloads — the only degree of freedom is whether the seam barriers.
-func RunXWSweep(cfg ServiceBenchConfig, cells [][2]int) (XWSweepResult, error) {
+// pipeline depth twice — under the barriered and the cross-window run
+// loop — over a simulated remote tier (default 200µs round trip, the
+// medium whose seam stalls the cross-window loop exists to hide).
+// Default depths: 2 and 4. The pairing is the point: same depth, same
+// journal, same payloads — the only degree of freedom is the run loop.
+func RunXWSweep(cfg ServiceBenchConfig, depths []int) (XWSweepResult, error) {
 	if cfg.RemoteLatency == 0 {
 		cfg.RemoteLatency = 200 * time.Microsecond
 	}
 	if cfg.GroupLinger == 0 {
 		// Deliberate window formation, identical on both sides of every
 		// pair. Without it the comparison is rigged against cross-window:
-		// the barriered pipeline coalesces for free while it blocks at
-		// the seam, and the primed pipeline's smaller windows amortize
-		// the per-bulk-call RTT worse. With it, formation time (and the
-		// group fsync) hides under the previous window's execution only
-		// when the seam doesn't barrier — which is the thing measured.
+		// the barriered loop coalesces for free while it blocks at the
+		// seam, and the cross-window loop's smaller windows amortize the
+		// per-bulk-call RTT worse. With it, formation time (and the group
+		// fsync) hides under the previous window's execution only when
+		// the seam doesn't barrier — which is the thing measured.
 		cfg.GroupLinger = cfg.RemoteLatency
 	}
 	cfg = cfg.withDefaults()
-	if len(cells) == 0 {
-		cells = [][2]int{{2, 1}, {4, 2}, {4, 4}}
+	if len(depths) == 0 {
+		depths = []int{2, 4}
 	}
 	dir := cfg.Dir
 	if dir == "" {
@@ -663,24 +644,23 @@ func RunXWSweep(cfg ServiceBenchConfig, cells [][2]int) (XWSweepResult, error) {
 		defer os.RemoveAll(dir)
 	}
 	res := XWSweepResult{NumCPU: runtime.NumCPU(), RemoteLatencyNs: int64(cfg.RemoteLatency)}
-	for _, cell := range cells {
+	for _, depth := range depths {
 		ccfg := cfg
-		ccfg.PipelineDepth, ccfg.ServeWorkers = cell[0], cell[1]
+		ccfg.PipelineDepth = depth
 		ccfg.CrossWindow = false
-		bar, err := runSvcBench(ccfg, dir, fmt.Sprintf("xw.bar.d%d.w%d", cell[0], cell[1]), 0)
+		bar, err := runSvcBench(ccfg, dir, fmt.Sprintf("xw.bar.d%d", depth), 0)
 		if err != nil {
-			return res, fmt.Errorf("forkoram: xw sweep barriered depth=%d workers=%d: %w", cell[0], cell[1], err)
+			return res, fmt.Errorf("forkoram: xw sweep barriered depth=%d: %w", depth, err)
 		}
 		ccfg.CrossWindow = true
-		xw, err := runSvcBench(ccfg, dir, fmt.Sprintf("xw.xw.d%d.w%d", cell[0], cell[1]), 0)
+		xw, err := runSvcBench(ccfg, dir, fmt.Sprintf("xw.xw.d%d", depth), 0)
 		if err != nil {
-			return res, fmt.Errorf("forkoram: xw sweep cross-window depth=%d workers=%d: %w", cell[0], cell[1], err)
+			return res, fmt.Errorf("forkoram: xw sweep cross-window depth=%d: %w", depth, err)
 		}
 		c := XWSweepRun{
 			Gomaxprocs:  runtime.GOMAXPROCS(0),
 			NumCPU:      runtime.NumCPU(),
-			Depth:       cell[0],
-			Workers:     cell[1],
+			Depth:       depth,
 			Barriered:   bar,
 			CrossWindow: xw,
 		}
@@ -692,7 +672,6 @@ func RunXWSweep(cfg ServiceBenchConfig, cells [][2]int) (XWSweepResult, error) {
 			res.BestSpeedup = c.Speedup
 			res.BestGomaxprocs = c.Gomaxprocs
 			res.BestDepth = c.Depth
-			res.BestWorkers = c.Workers
 		}
 	}
 	return res, nil

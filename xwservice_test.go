@@ -14,13 +14,12 @@ import (
 )
 
 // xwServiceConfig is testServiceConfig with cross-window pipelining and
-// a staged device pipeline, so the committer/applier split and the
-// persistent device session are both engaged.
+// a pipelined device, so the committer/applier split and the persistent
+// device session are both engaged.
 func xwServiceConfig() ServiceConfig {
 	cfg := testServiceConfig(Fork)
 	cfg.Device.QueueSize = 8
 	cfg.Device.PipelineDepth = 4
-	cfg.Device.ServeWorkers = 2
 	cfg.CrossWindow = true
 	return cfg
 }
@@ -56,6 +55,9 @@ func TestCrossWindowRoundTrip(t *testing.T) {
 	st := svc.Stats()
 	if st.Writes != 16 || st.Reads != 16 {
 		t.Fatalf("writes %d reads %d, want 16/16", st.Writes, st.Reads)
+	}
+	if fmt.Sprint(CrashMidWindowSeam) != "mid-window-seam" {
+		t.Fatalf("CrashMidWindowSeam stringer: %v", CrashMidWindowSeam)
 	}
 }
 
@@ -317,18 +319,5 @@ func TestBurstCoalescingFewCores(t *testing.T) {
 	}
 	if st.WALSyncs >= st.Writes {
 		t.Fatalf("%d syncs for %d writes on one P: coalescing regressed", st.WALSyncs, st.Writes)
-	}
-}
-
-// TestCrossWindowConfigImpliesDevice: ServiceConfig.CrossWindow must
-// switch the device into a persistent session too.
-func TestCrossWindowConfigImpliesDevice(t *testing.T) {
-	cfg := xwServiceConfig()
-	got := cfg.withDefaults()
-	if !got.Device.CrossWindow {
-		t.Fatal("ServiceConfig.CrossWindow did not imply DeviceConfig.CrossWindow")
-	}
-	if fmt.Sprint(CrashMidWindowSeam) != "mid-window-seam" {
-		t.Fatalf("CrashMidWindowSeam stringer: %v", CrashMidWindowSeam)
 	}
 }
