@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-svc bench-pipeline bench-pipeline-mc bench-xw bench-reshard bench-tiers json chaos chaos-smoke chaos-reshard chaos-reshard-smoke chaos-disk chaos-disk-smoke scrub fuzz fuzz-smoke
+.PHONY: build test race bench json chaos chaos-smoke chaos-reshard chaos-reshard-smoke chaos-disk chaos-disk-smoke scrub fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -15,51 +15,6 @@ race:
 
 bench:
 	$(GO) test -bench BenchmarkAccessAllocs -benchtime 1000x ./internal/fork ./internal/pathoram
-
-# Service group-commit benchmark: concurrent clients over a file-backed
-# journal, coalesced vs. one-sync-per-op (smoke-sized for CI), single
-# then sharded.
-bench-svc:
-	$(GO) run ./cmd/orambench -svc -svc-ops 1200
-	$(GO) run ./cmd/orambench -svc -svc-ops 1200 -shards 4
-
-# Staged-pipeline depth sweep: the same grouped write storm at
-# PipelineDepth 1, 2, 4 with per-stage stall telemetry. Depth 1 is the
-# serial baseline; run on >=2 cores for the overlap to show as speedup.
-bench-pipeline:
-	$(GO) run ./cmd/orambench -pipeline-sweep -svc-ops 1200
-
-# Multi-core pipeline baseline: the same grouped write storm across a
-# gomaxprocs × pipeline-depth grid over a simulated remote tier (fixed
-# per-bulk-call RTT), every entry stamped with the GOMAXPROCS it
-# actually ran under. -require-mc exits nonzero unless a GOMAXPROCS>=4
-# pipelined cell clears 1.3x over that scheduler width's own depth-1
-# serial baseline, so a sweep produced at GOMAXPROCS=1 can never claim a
-# multi-core speedup.
-bench-pipeline-mc:
-	$(GO) run ./cmd/orambench -mc-sweep -svc-ops 1200 -require-mc
-
-# Cross-window run-loop comparison: the same grouped write storm at
-# each pipeline depth, once under the window-barriered Service loop and
-# once under the committer/applier loop with overlapped group fsync,
-# over a simulated remote tier. -require-mc here asserts at least one
-# cross-window run beats its barriered twin (svc_xw_* fields in the
-# -json record).
-bench-xw:
-	$(GO) run ./cmd/orambench -xw -svc-ops 1200 -gomaxprocs 4 -require-mc
-
-# Online reshard benchmark: one timed 2->4 split over file-backed
-# journals with concurrent client writers riding the dual-routed front
-# door (svc_reshard_* fields in the -json record).
-bench-reshard:
-	$(GO) run ./cmd/orambench -reshard
-	$(GO) run ./cmd/orambench -reshard -new-shards 3
-
-# Storage-tier comparison: the same concurrent workload through mem,
-# disk, disk+RAM-tier, simulated-remote, and remote+tier backends
-# (svc_disk_* / svc_remote_* fields in the -json record).
-bench-tiers:
-	$(GO) run ./cmd/orambench -tiers -tier-ops 2000
 
 # Regenerate the perf-trajectory record (BENCH_<date>.json).
 json:

@@ -74,8 +74,11 @@ const (
 //
 // The medium backup is what a deployment would take as a storage-level
 // snapshot of the (remote, untrusted) bucket store; the simulator keeps
-// it inline. It is ciphertext-only — a checkpoint store learns nothing
-// an adversary watching the medium would not.
+// it inline. Only the medium backup is ciphertext. Snapshot holds the
+// AES key, the position map and the stash's payloads in plaintext (see
+// Snapshot.MarshalBinary), so whoever reads a checkpoint reads every
+// block and can decrypt the medium: a CheckpointStore must be trusted
+// like the client itself (DESIGN.md §9).
 type Checkpoint struct {
 	Seq      uint64
 	Snapshot []byte
@@ -85,7 +88,9 @@ type Checkpoint struct {
 // CheckpointStore persists checkpoints. Save must be durable when it
 // returns — the Service truncates the journal immediately after, and a
 // checkpoint that quietly failed to persist would strand every write
-// since the previous one.
+// since the previous one. The store must be trusted: a checkpoint
+// carries the key, the position map and plaintext stash payloads (see
+// Checkpoint). Nothing seals them.
 type CheckpointStore interface {
 	// Save durably replaces the newest checkpoint.
 	Save(c *Checkpoint) error
@@ -322,10 +327,15 @@ type ServiceConfig struct {
 	// WAL is the journal's durability substrate (default a fresh
 	// MemStore). Hand the store of a previous incarnation to resume: if
 	// Checkpoints holds a checkpoint, NewService recovers from it and
-	// replays this journal before serving.
+	// replays this journal before serving. The store must be trusted:
+	// journal records hold plaintext addresses and payloads, and only
+	// writes are journaled, so even the timing of appends and syncs
+	// tells reads from writes.
 	WAL wal.Store
 	// Checkpoints persists recovery points (default a fresh
-	// MemCheckpointStore).
+	// MemCheckpointStore). The store must be trusted: a checkpoint holds
+	// the AES key, the position map and plaintext stash payloads (see
+	// Checkpoint).
 	Checkpoints CheckpointStore
 	// ScrubEvery, when positive, runs a background scrub slice
 	// (Device.ScrubSlice) after every ScrubEvery acknowledged mutating

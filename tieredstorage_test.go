@@ -1,12 +1,17 @@
 package forkoram
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"forkoram/internal/rng"
 	"forkoram/internal/storage"
 	"forkoram/internal/tree"
 )
@@ -45,6 +50,125 @@ func corruptFrameOnDisk(t *testing.T, disk *storage.Disk, n tree.Node) {
 	if _, err := f.WriteAt(buf, off+int64(size)/2); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestServiceOverStorageStacks drives a Service over every storage
+// stack: the in-memory medium, the disk store with and without the
+// write-through RAM tier, and the disk behind the simulated remote tier
+// with and without it. The remote's latency goes through a no-op Sleep
+// hook, so nothing really sleeps, and it injects transients. Two
+// clients run a mixed read/write load, each on the addresses it owns,
+// and check every read against their own last write. Every stack must
+// serve the load with no front-door error and read back the oracle
+// afterwards; the +tier stacks must serve reads from the RAM tier, the
+// remote stacks must make round trips, and the retry layer must absorb
+// every transient the remote injected.
+func TestServiceOverStorageStacks(t *testing.T) {
+	const blocks, clients, ops = 128, 2, 120
+	for _, stack := range []string{"mem", "disk", "disk+tier", "remote", "remote+tier"} {
+		t.Run(stack, func(t *testing.T) {
+			cfg := testServiceConfig(Fork)
+			cfg.Device.Blocks = blocks
+			cfg.Device.QueueSize = 8
+			cfg.QueueDepth = 2 * clients
+			if stack != "mem" {
+				cfg.Device.Storage.Medium = diskFixture(t, cfg.Device)
+			}
+			if strings.HasPrefix(stack, "remote") {
+				cfg.Device.Storage.Remote = &storage.RemoteConfig{
+					Seed:            11,
+					ReadLatency:     time.Microsecond,
+					WriteLatency:    2 * time.Microsecond,
+					PTransientRead:  0.01,
+					PTransientWrite: 0.01,
+					Sleep:           func(time.Duration) {},
+				}
+			}
+			if strings.HasSuffix(stack, "+tier") {
+				cfg.Device.Storage.TierBytes = 1 << 12
+			}
+			svc, err := NewService(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			ctx := context.Background()
+			shadows := make([]map[uint64][]byte, clients)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				shadows[c] = make(map[uint64][]byte)
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					wl := rng.New(uint64(c) + 21)
+					shadow := shadows[c]
+					for i := 0; i < ops; i++ {
+						addr := wl.Uint64n(blocks/clients)*clients + uint64(c)
+						if wl.Float64() < 0.5 {
+							data := chaosPayload(32, uint64(c), uint64(i)+1)
+							if err := svc.Write(ctx, addr, data); err != nil {
+								t.Errorf("client %d: write %d: %v", c, addr, err)
+								return
+							}
+							shadow[addr] = data
+							continue
+						}
+						got, err := svc.Read(ctx, addr)
+						if err != nil {
+							t.Errorf("client %d: read %d: %v", c, addr, err)
+							return
+						}
+						if want := shadowBlock(shadow, addr); !bytes.Equal(got, want) {
+							t.Errorf("client %d: read %d returned a stale or foreign block", c, addr)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for addr := uint64(0); addr < blocks; addr++ {
+				got, err := svc.Read(ctx, addr)
+				if err != nil {
+					t.Fatalf("read-back %d: %v", addr, err)
+				}
+				if want := shadowBlock(shadows[addr%clients], addr); !bytes.Equal(got, want) {
+					t.Fatalf("read-back %d does not match the oracle", addr)
+				}
+			}
+
+			st := svc.Stats().Storage
+			t.Logf("tier read hits %d, remote round trips %d, transients %d, retry recovered %d",
+				st.Tier.ReadHits, st.Remote.ReadCalls+st.Remote.WriteCalls,
+				st.Remote.TransientReads+st.Remote.TransientWrites, st.Retry.Recovered)
+			if strings.HasSuffix(stack, "+tier") && st.Tier.ReadHits == 0 {
+				t.Error("no read was served from the RAM tier")
+			}
+			if strings.HasPrefix(stack, "remote") {
+				if st.Remote.ReadCalls+st.Remote.WriteCalls == 0 {
+					t.Error("no remote round trip")
+				}
+				injected := st.Remote.TransientReads + st.Remote.TransientWrites
+				if injected > 0 && st.Retry.Recovered == 0 {
+					t.Errorf("%d transients injected, none recovered by the retry layer", injected)
+				}
+				if st.Retry.Exhausted > 0 {
+					t.Errorf("%d operations exhausted the retry budget", st.Retry.Exhausted)
+				}
+			}
+		})
+	}
+}
+
+// shadowBlock is a client's last write to addr, or the zero block a
+// never-written address reads as.
+func shadowBlock(shadow map[uint64][]byte, addr uint64) []byte {
+	if b, ok := shadow[addr]; ok {
+		return b
+	}
+	return make([]byte, 32)
 }
 
 // TestTransientErrorSurvivesToFrontDoor is the error-wrapping audit's

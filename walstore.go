@@ -17,5 +17,7 @@ func NewWALMemStore() WALStore { return wal.NewMemStore() }
 // whose Sync barrier is fsync, so acknowledged Service writes survive
 // a real process crash. The returned store holds the file open for the
 // Service's lifetime; callers may close it after Service.Close via its
-// Close method.
+// Close method. The file holds every journaled write's address and
+// payload in plaintext, so put it on trusted storage only, never next
+// to the untrusted bucket medium.
 func OpenWALFile(path string) (*wal.FileStore, error) { return wal.OpenFile(path) }

@@ -180,7 +180,7 @@ func TestCrossWindowCloseMidSeam(t *testing.T) {
 // the turnaround stalls the device pipeline reports must shrink to
 // (nearly) nothing — the seam is primed, not barriered. The test only
 // asserts the machinery engaged (windows flowed, syncs amortized);
-// the performance claim lives in the bench (svc_xw_* fields).
+// TestCrossWindowSyncOverlapsApply pins the overlap itself.
 func TestCrossWindowOverlapsCommit(t *testing.T) {
 	cfg := xwServiceConfig()
 	cfg.QueueDepth = 16
