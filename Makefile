@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench json chaos chaos-smoke chaos-reshard chaos-reshard-smoke chaos-disk chaos-disk-smoke scrub fuzz fuzz-smoke
+.PHONY: build test race bench json chaos chaos-smoke scrub fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -20,40 +20,22 @@ bench:
 json:
 	$(GO) run ./cmd/orambench -mixes 2 -requests 800 -json
 
-# Deterministic fault-injection + crash campaigns, fixed seeds so
-# failures replay exactly. Exits non-zero on any silent corruption /
-# untyped error / lost acknowledged write. The -crash campaign kills the
-# supervised Service at every write-path point across 1000 schedules,
-# each run with both Device variants.
+# Crash campaigns over every topology (a bare Device under storage
+# faults, one supervised Service, a sharded fleet, an online reshard),
+# fixed seed so failures replay exactly. Every schedule decodes its index
+# into one combination of the topology's dimensions (variant, medium,
+# decorator, run loop, pipeline depth, fault menu, kill focus), so 1000
+# schedules sweep every combination many times over. Exits non-zero on
+# any lost acknowledged write, silent corruption or untyped failure.
 chaos:
-	$(GO) run ./cmd/forksim -faults -seed 1 -fault-schedules 1000
-	$(GO) run ./cmd/forksim -faults -fault-corruption -seed 2 -fault-schedules 1000 -fault-rate 0.006
-	$(GO) run ./cmd/forksim -crash -seed 3 -crash-schedules 1000
-	$(GO) run ./cmd/forksim -crash-shards -seed 4 -crash-schedules 1000 -shards 3
+	$(GO) run ./cmd/forksim -campaign all -seed 1 -schedules 1000
 
-# Reduced-schedule campaign for CI smoke: same assertions, ~10% of the
-# schedules.
+# Reduced sweep for CI smoke: every combination at least once.
 chaos-smoke:
-	$(GO) run ./cmd/forksim -faults -seed 1 -fault-schedules 100
-	$(GO) run ./cmd/forksim -faults -fault-corruption -seed 2 -fault-schedules 100 -fault-rate 0.006
-	$(GO) run ./cmd/forksim -crash -seed 3 -crash-schedules 100
-	$(GO) run ./cmd/forksim -crash-shards -seed 4 -crash-schedules 100 -shards 3
-	# Race-checked crash pass: every plain-medium Fork schedule runs the
-	# pipelined engine (PipelineDepth 4), so mid-serve kills land inside
-	# worker goroutines under the race detector.
-	$(GO) run -race ./cmd/forksim -crash -seed 3 -crash-schedules 60
-
-# Disk-medium crash campaign: every schedule runs over a real disk
-# bucket store, so kills land inside frame writes (mid-bucket-write
-# tears at random byte offsets) and scrub slices (mid-scrub). Reopening
-# must detect every torn frame as a typed corruption and recover with
-# zero lost acked writes.
-chaos-disk:
-	$(GO) run ./cmd/forksim -crash -disk -seed 3 -crash-schedules 1000
-
-# Reduced-schedule variant for CI smoke.
-chaos-disk-smoke:
-	$(GO) run ./cmd/forksim -crash -disk -seed 3 -crash-schedules 100
+	$(GO) run ./cmd/forksim -campaign all -seed 1 -schedules 100
+	# Race-checked pass: the single topology's pipelined schedules land
+	# mid-serve kills inside worker goroutines under the race detector.
+	$(GO) run -race ./cmd/forksim -campaign single -seed 3 -schedules 72
 
 # Offline scrub-and-repair demo: builds a disk-backed device, injects
 # frame corruptions out-of-band, and verifies the scrub detects exactly
@@ -61,20 +43,6 @@ chaos-disk-smoke:
 #   go run ./cmd/forksim -scrub -scrub-image buckets.oram [-scrub-key hex]
 scrub:
 	$(GO) run ./cmd/forksim -scrub -seed 9
-
-# Mid-migration crash campaign: online splits (odd schedules merge
-# back) under concurrent traffic, router kills at every migration phase
-# (policy append, mid-stream, watermark advance, cutover commit,
-# post-cutover truncate), full rebuild + resume from the surviving
-# journals after each. Exits non-zero on any lost acked write or silent
-# corruption.
-chaos-reshard:
-	$(GO) run ./cmd/forksim -crash-reshard -seed 5 -crash-schedules 1000 -shards 2 -add-shards 2
-
-# Reduced-schedule variant for CI smoke (still covers every phase: the
-# kill focus rotates with period 5).
-chaos-reshard-smoke:
-	$(GO) run ./cmd/forksim -crash-reshard -seed 5 -crash-schedules 100 -shards 2 -add-shards 2
 
 # Coverage-guided fuzzing of the Device against a map oracle, with and
 # without fault injection (see FuzzDeviceOps in fuzz_test.go).

@@ -7,47 +7,18 @@
 //	forksim -scheme forkpath -cache mac -cache-bytes 1048576 -queue 64
 //	forksim -scheme insecure -mix Mix1 -requests 5000
 //
-// With -faults, forksim instead runs a deterministic chaos campaign
-// against the fault-tolerant Device (transient faults, crash/restore,
-// optionally medium corruption) and exits non-zero on any violation:
+// With -campaign, forksim instead runs a deterministic crash campaign
+// (RunCampaign) against one topology — a bare Device under storage
+// faults, one supervised Service, a sharded fleet, or a fleet resharding
+// online — or against all four, and exits non-zero if any acknowledged
+// write is lost, any read is silently wrong, or any failure escapes
+// untyped:
 //
-//	forksim -faults -seed 1 -fault-schedules 1000
-//	forksim -faults -fault-corruption -fault-rate 0.006
-//
-// With -crash, forksim runs the crash-at-every-point campaign against
-// the supervised Service (process kills between journal append and
-// apply, around checkpoints, mid-restore) and exits non-zero if any
-// acknowledged write is lost or any read is silently wrong:
-//
-//	forksim -crash -seed 1 -crash-schedules 1000
-//
-// With -crash-shards, the same campaign runs against a ShardedService
-// fleet: kills land in individual shard supervisors, healthy siblings
-// are probed for reads and writes while a shard is down, and the dead
-// shard is restarted from its surviving per-shard stores:
-//
-//	forksim -crash-shards -seed 1 -crash-schedules 1000 -shards 3
-//
-// With -crash-reshard, the campaign targets an ONLINE reshard: every
-// schedule splits the fleet (odd schedules then merge back) while a
-// client workload runs, the router is killed at every migration phase
-// (policy append, mid-stream, watermark advance, cutover commit,
-// post-cutover truncate), the fleet is rebuilt from its surviving
-// journals, and the migration resumed — exiting non-zero if any
-// acknowledged write is lost or any read is silently wrong:
-//
-//	forksim -crash-reshard -seed 1 -crash-schedules 1000 -shards 2 -add-shards 2
-//
-// With -recover, forksim runs a self-healing demo: a Service under
-// continuous fault injection with device retries disabled, so every
-// fault poisons the device and the supervisor heals it live. It prints
-// the recovery and replay counters and exits non-zero if any
-// acknowledged write is lost.
+//	forksim -campaign all -seed 1 -schedules 1000
+//	forksim -campaign single -seed 7 -schedules 72
 package main
 
 import (
-	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,9 +26,7 @@ import (
 
 	forkoram "forkoram"
 	"forkoram/internal/cpu"
-	"forkoram/internal/faults"
 	"forkoram/internal/prof"
-	"forkoram/internal/rng"
 	"forkoram/internal/workload"
 )
 
@@ -82,28 +51,12 @@ func main() {
 		periodic   = flag.Float64("periodic-ns", 0, "fixed issue interval in ns (0 = on-demand)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 
-		chaos           = flag.Bool("faults", false, "run the fault-injection chaos campaign instead of a simulation")
-		chaosSchedules  = flag.Int("fault-schedules", 1000, "chaos: independent fault schedules")
-		chaosOps        = flag.Int("fault-ops", 400, "chaos: device operations per schedule")
-		chaosRate       = flag.Float64("fault-rate", 0.004, "chaos: total fault probability per bucket operation")
-		chaosCorruption = flag.Bool("fault-corruption", false, "chaos: include medium-corrupting faults (bit flips, torn writes, stale replays)")
-
-		crash          = flag.Bool("crash", false, "run the crash-at-every-point campaign against the supervised Service")
-		crashSchedules = flag.Int("crash-schedules", 1000, "crash: independent crash schedules (each runs both variants)")
-		crashDisk      = flag.Bool("disk", false, "crash: run every schedule over the durable disk bucket store (kills mid-bucket-write and mid-scrub included)")
+		campaign  = flag.String("campaign", "", "run a crash campaign instead of a simulation: device | single | sharded | reshard | all")
+		schedules = flag.Int("schedules", 0, "campaign: schedules per topology (0 = one per combination of its dimensions)")
 
 		scrub      = flag.Bool("scrub", false, "one-shot scrub over a disk bucket image (-scrub-image), or a self-checking corruption demo without one")
 		scrubImage = flag.String("scrub-image", "", "scrub: path of the disk bucket store to audit")
 		scrubKey   = flag.String("scrub-key", "", "scrub: hex bucket key; empty audits frames only (epoch + CRC, no decrypt)")
-
-		crashShards = flag.Bool("crash-shards", false, "run the per-shard crash campaign against a ShardedService fleet")
-		shards      = flag.Int("shards", 3, "crash-shards: fleet width / crash-reshard: starting width")
-
-		crashReshard = flag.Bool("crash-reshard", false, "run the mid-migration crash campaign against an online reshard")
-		addShards    = flag.Int("add-shards", 2, "crash-reshard: shards added by the split (odd schedules merge back)")
-
-		recoverDemo = flag.Bool("recover", false, "run the supervised self-healing demo (faults injected, supervisor heals live)")
-		recoverOps  = flag.Int("recover-ops", 2000, "recover: client operations to drive through the healing service")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -121,49 +74,12 @@ func main() {
 		}
 	}()
 
-	if *chaos {
-		runChaos(forkoram.ChaosConfig{
-			Seed:       *seed,
-			Schedules:  *chaosSchedules,
-			Ops:        *chaosOps,
-			FaultRate:  *chaosRate,
-			Corruption: *chaosCorruption,
-		})
-		return
-	}
-	if *crash {
-		runCrash(forkoram.CrashChaosConfig{
-			Seed:      *seed,
-			Schedules: *crashSchedules,
-			Faults:    true,
-			Disk:      *crashDisk,
-		})
+	if *campaign != "" {
+		runCampaign(*campaign, *seed, *schedules)
 		return
 	}
 	if *scrub {
 		runScrub(*scrubImage, *scrubKey, *seed)
-		return
-	}
-	if *crashShards {
-		runShardedCrash(forkoram.ShardedCrashChaosConfig{
-			Seed:      *seed,
-			Schedules: *crashSchedules,
-			Shards:    *shards,
-			Faults:    true,
-		})
-		return
-	}
-	if *crashReshard {
-		runReshardCrash(forkoram.ReshardChaosConfig{
-			Seed:      *seed,
-			Schedules: *crashSchedules,
-			Shards:    *shards,
-			AddShards: *addShards,
-		})
-		return
-	}
-	if *recoverDemo {
-		runRecoverDemo(*seed, *recoverOps)
 		return
 	}
 
@@ -266,110 +182,22 @@ func printResult(cfg forkoram.SimConfig, r forkoram.SimResult) {
 	}
 }
 
-func runChaos(cfg forkoram.ChaosConfig) {
-	rep := forkoram.RunChaos(cfg)
-	fmt.Print(rep.String())
-	if !rep.Ok() {
+// runCampaign runs one topology's crash campaign, or every topology's
+// for "all", and exits non-zero on any violation.
+func runCampaign(name string, seed uint64, schedules int) {
+	topos := []forkoram.Topology{forkoram.Topology(name)}
+	if name == "all" {
+		topos = []forkoram.Topology{forkoram.TopologyDevice, forkoram.TopologySingle, forkoram.TopologySharded, forkoram.TopologyReshard}
+	}
+	ok := true
+	for _, topo := range topos {
+		rep := forkoram.RunCampaign(forkoram.CampaignConfig{Seed: seed, Topology: topo, Schedules: schedules})
+		fmt.Print(rep.String())
+		ok = ok && rep.Ok()
+	}
+	if !ok {
 		os.Exit(1)
 	}
-}
-
-func runCrash(cfg forkoram.CrashChaosConfig) {
-	rep := forkoram.RunCrashChaos(cfg)
-	fmt.Print(rep.String())
-	if !rep.Ok() {
-		os.Exit(1)
-	}
-}
-
-func runShardedCrash(cfg forkoram.ShardedCrashChaosConfig) {
-	rep := forkoram.RunShardedCrashChaos(cfg)
-	fmt.Print(rep.String())
-	if !rep.Ok() {
-		os.Exit(1)
-	}
-}
-
-func runReshardCrash(cfg forkoram.ReshardChaosConfig) {
-	rep := forkoram.RunReshardCrashChaos(cfg)
-	fmt.Print(rep.String())
-	if !rep.Ok() {
-		os.Exit(1)
-	}
-}
-
-// runRecoverDemo drives a workload through a Service whose device
-// suffers continuous transient faults with retries disabled, so every
-// fault fail-stops the device and the supervisor heals it inline. The
-// client never sees an error; the demo verifies read-your-writes across
-// every heal and prints the supervisor's counters.
-func runRecoverDemo(seed uint64, ops int) {
-	// Rate and cadence are balanced so the journal suffix replayed per
-	// heal stays short enough to complete under continuing faults, and
-	// checkpoints (which reset the consecutive-recovery budget) land
-	// often enough that the budget tracks incidents, not lifetime.
-	p := 0.004 / 3
-	svc, err := forkoram.NewService(forkoram.ServiceConfig{
-		Device: forkoram.DeviceConfig{
-			Blocks:    128,
-			BlockSize: 64,
-			QueueSize: 8,
-			Seed:      seed,
-			Variant:   forkoram.Fork,
-			Retries:   -1,
-			Faults: &faults.Config{
-				Seed:           rng.SeedAt(seed, 1),
-				PTransientRead: p, PTransientWrite: p, PDroppedWrite: p,
-			},
-		},
-		CheckpointEvery: 16,
-		MaxRecoveries:   64,
-	})
-	if err != nil {
-		fatalf("recover demo: %v", err)
-	}
-	ctx := context.Background()
-	wl := rng.New(rng.SeedAt(seed, 2))
-	oracle := make(map[uint64][]byte)
-	lost := 0
-	for i := 0; i < ops; i++ {
-		addr := wl.Uint64n(128)
-		if wl.Float64() < 0.5 {
-			data := make([]byte, 64)
-			for j := range data {
-				data[j] = byte(wl.Uint64n(256))
-			}
-			if err := svc.Write(ctx, addr, data); err != nil {
-				fatalf("recover demo: write %d: %v", i, err)
-			}
-			oracle[addr] = data
-		} else {
-			got, err := svc.Read(ctx, addr)
-			if err != nil {
-				fatalf("recover demo: read %d: %v", i, err)
-			}
-			want := oracle[addr]
-			if want == nil {
-				want = make([]byte, 64)
-			}
-			if !bytes.Equal(got, want) {
-				lost++
-			}
-		}
-	}
-	st := svc.Stats()
-	if err := svc.Close(); err != nil {
-		fatalf("recover demo: close: %v", err)
-	}
-	fmt.Printf("recover demo: %d ops against a continuously faulting device (state %v)\n", ops, st.State)
-	fmt.Printf("  supervisor: %d recoveries (%d failed attempts), %d journal records replayed\n",
-		st.Recoveries, st.FailedRecoveries, st.ReplayedOps)
-	fmt.Printf("  durability: %d checkpoints, %d journal records, %d lost acknowledged writes\n",
-		st.Checkpoints, st.WALRecords, lost)
-	if lost > 0 {
-		os.Exit(1)
-	}
-	fmt.Printf("  ok: every fault healed in place, no client-visible failures\n")
 }
 
 func maxf(a, b float64) float64 {

@@ -1,6 +1,7 @@
 package forkoram
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"forkoram/internal/pathoram"
 	"forkoram/internal/rng"
 	"forkoram/internal/storage"
+	"forkoram/internal/tree"
 	"forkoram/internal/wal"
 )
 
@@ -150,6 +152,43 @@ func cloneCheckpoint(c *Checkpoint) *Checkpoint {
 		cp.Medium[n] = append([]byte(nil), ct...)
 	}
 	return cp
+}
+
+// cloneMedium copies every stored ciphertext of the device's medium —
+// the chaos harness's stand-in for a full storage backup.
+func cloneMedium(d *Device) map[tree.Node][]byte {
+	m := make(map[tree.Node][]byte)
+	for n := uint64(0); n < d.tr.Nodes(); n++ {
+		if ct := d.store.Ciphertext(n); ct != nil {
+			m[n] = append([]byte(nil), ct...)
+		}
+	}
+	return m
+}
+
+// restoreMedium rewrites the medium to exactly the backed-up state.
+// Works on any Medium; on a Disk store this also clears torn frames
+// left by a mid-write kill (SetCiphertext(nil) zeroes the slot).
+func restoreMedium(med storage.Medium, tr tree.Tree, backup map[tree.Node][]byte) {
+	for n := uint64(0); n < tr.Nodes(); n++ {
+		if ct, ok := backup[n]; ok {
+			med.SetCiphertext(n, ct)
+		} else {
+			med.SetCiphertext(n, nil)
+		}
+	}
+}
+
+// mediumEquals reports whether the device's medium matches a backup.
+func mediumEquals(d *Device, backup map[tree.Node][]byte) bool {
+	for n := uint64(0); n < d.tr.Nodes(); n++ {
+		ct := d.store.Ciphertext(n)
+		bk, ok := backup[n]
+		if (ct == nil) != !ok || !bytes.Equal(ct, bk) {
+			return false
+		}
+	}
+	return true
 }
 
 // CrashPoint names a kill site in the Service write path; the crash
@@ -294,9 +333,12 @@ type ServiceConfig struct {
 	// queue: clients admitted in the same burst may not have enqueued
 	// yet (their sends readied the worker before their own enqueues
 	// ran). Only the window's first request pays it, and only when the
-	// queue is dry — a drained backlog never lingers. Default 25µs
-	// (noise next to an ORAM access); negative disables. Ignored when
-	// MaxGroupSize <= 1 or the service is not healthy.
+	// queue is dry — a drained backlog never lingers. Default 25µs;
+	// negative disables. The wait is not noise: on an otherwise idle
+	// runtime the netpoller rounds a sub-millisecond timer up to a 1 ms
+	// tick, so a lone sequential client pays about 1 ms per op (p50
+	// 1.07 ms on a 2-vCPU host, Go 1.24). Ignored when MaxGroupSize <= 1
+	// or the service is not healthy.
 	BurstLinger time.Duration
 	// CrossWindow pipelines the group commit across dispatch windows
 	// (DESIGN.md §16): while window W executes on the device, window
