@@ -105,14 +105,13 @@ type schedule struct {
 	tuple  []string // the decoded value of every dimension, for reports
 	combos int      // product of the topology's dimension sizes
 
-	variant     Variant
-	faults      int // device fault menu: faultsTransient, faultsTransientIntegrity, faultsCorrupt
-	noRetries   bool
-	medium      int // mediumMem, mediumDisk, mediumDiskTier
-	decorator   int // decoPlain, decoIntegrity, decoFaults
-	crossWindow bool
-	depth       int
-	focus       ReshardCrashPoint
+	variant   Variant
+	faults    int // device fault menu: faultsTransient, faultsTransientIntegrity, faultsCorrupt
+	noRetries bool
+	medium    int // mediumMem, mediumDisk, mediumDiskTier
+	decorator int // decoPlain, decoIntegrity, decoFaults
+	depth     int
+	focus     ReshardCrashPoint
 }
 
 const (
@@ -156,11 +155,9 @@ func decodeSchedule(topo Topology, seed uint64, idx int) schedule {
 	case TopologySingle, TopologySharded:
 		s.medium = pick("mem", "disk", "disk+tier")
 		s.decorator = pick("plain", "integrity", "faults")
-		s.crossWindow = pick("barriered", "cross-window") == 1
 		s.depth = depths[pick("depth-1", "depth-4")]
 	case TopologyReshard:
 		s.decorator = pick("plain", "integrity")
-		s.crossWindow = pick("barriered", "cross-window") == 1
 		s.depth = depths[pick("depth-1", "depth-4")]
 		var points []string
 		for p := 0; p < numReshardPoints; p++ {
@@ -507,7 +504,7 @@ func (st *campaign) write(ctx context.Context, addr uint64) {
 	}
 }
 
-// burst races concurrent writers into the admission queue so the
+// burst puts several writes in the admission queue at once so the
 // supervisor coalesces them into one group commit — the only way to
 // reach the group kill sites and the group ack rule (every write acked
 // by one sync, or none). Addresses are distinct, so acks commit
@@ -519,14 +516,33 @@ func (st *campaign) burst(ctx context.Context, addrs []uint64) {
 	for i, a := range addrs {
 		pend[i] = st.newWrite(a)
 	}
-	if st.serial {
+	svc, queued := st.c.(*Service)
+	switch {
+	case st.serial:
 		for i := range pend {
 			if errs[i] = st.c.Write(ctx, pend[i].addr, pend[i].new); errs[i] != nil {
 				pend, errs = pend[:i+1], errs[:i+1] // the rest never issued
 				break
 			}
 		}
-	} else {
+	case queued:
+		// One goroutine admits the whole burst back to back, then waits:
+		// the run loop finds it queued as one window. Concurrent writers
+		// reach the queue together only while the host has a core free
+		// to run them; on a busy host each would commit alone.
+		reqs := make([]*svcReq, 0, len(pend))
+		for i := range pend {
+			req := &svcReq{kind: reqWrite, addr: pend[i].addr, data: pend[i].new}
+			if errs[i] = svc.admit(ctx, req); errs[i] != nil {
+				pend, errs = pend[:i+1], errs[:i+1] // the rest never issued
+				break
+			}
+			reqs = append(reqs, req)
+		}
+		for i, req := range reqs {
+			_, errs[i] = svc.await(ctx, req)
+		}
+	default:
 		var wg sync.WaitGroup
 		for i := range pend {
 			wg.Add(1)
@@ -713,7 +729,6 @@ func (st *campaign) serviceConfig() ServiceConfig {
 	}
 	cfg := ServiceConfig{
 		Device:          dev,
-		CrossWindow:     s.crossWindow,
 		QueueDepth:      8,
 		CheckpointEvery: 8, // frequent checkpoints: more save/truncate windows to kill in
 		MaxRecoveries:   50,
@@ -745,7 +760,7 @@ func (st *campaign) serviceConfig() ServiceConfig {
 // the previous one is being healed are common. A single service is a
 // one-shard fleet whose plan holds the whole budget; across a fleet the
 // budget is shared. mu serializes consultations: the pipelined engine's
-// serve workers and writeback goroutines consult concurrently.
+// serve workers and writebacks consult concurrently with the run loop.
 type killPlan struct {
 	mu     sync.Mutex
 	wl     *rng.Source

@@ -10,12 +10,15 @@ import (
 // chaos` / forksim -campaign all run the full sweeps). Each sweep runs
 // once per test binary: TestCampaign checks the contract every topology
 // shares, and the tests after it check one topology's coverage claims
-// against the same report.
+// against the same report. single runs four passes: its rarest kill
+// sites (mid-compaction, mid-scrub, the pipelined mid-serve and
+// mid-pipeline) take a few kills per pass, and the pipelined ones land
+// differently from run to run with the serve workers' interleaving.
 var tier1 = map[Topology]*tier1Sweep{
 	TopologyDevice:  {cfg: CampaignConfig{Seed: 1, Topology: TopologyDevice, Schedules: 24}},
-	TopologySingle:  {cfg: CampaignConfig{Seed: 0xc0ffee, Topology: TopologySingle, Schedules: 288}},
-	TopologySharded: {cfg: CampaignConfig{Seed: 0x5a4d, Topology: TopologySharded, Schedules: 72}},
-	TopologyReshard: {cfg: CampaignConfig{Seed: 0x4e5d, Topology: TopologyReshard, Schedules: 80}},
+	TopologySingle:  {cfg: CampaignConfig{Seed: 0xc0ffee, Topology: TopologySingle, Schedules: 144}},
+	TopologySharded: {cfg: CampaignConfig{Seed: 0x5a4d, Topology: TopologySharded, Schedules: 36}},
+	TopologyReshard: {cfg: CampaignConfig{Seed: 0x4e5d, Topology: TopologyReshard, Schedules: 40}},
 }
 
 type tier1Sweep struct {

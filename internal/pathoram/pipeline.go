@@ -80,11 +80,10 @@ type PipelineStats struct {
 	DepWaitNs uint64 `json:"dep_wait_ns,omitempty"`
 	// WindowTurnarounds/WindowTurnaroundNs: inter-window stalls — the
 	// gap between one pipelined window's completion (last retire) and
-	// the next window's first fetch issue. Under the window-barriered
-	// Service loop this spans the whole group-commit turnaround (gather,
-	// journal append, fsync); the cross-window loop shrinks it to the
-	// seam handoff. Only meaningful under saturation: with idle clients
-	// the gap includes think time.
+	// the next window's first fetch issue. Under a Service this spans
+	// the whole group-commit turnaround (gather, journal append, fsync).
+	// Only meaningful under saturation: with idle clients the gap
+	// includes think time.
 	WindowTurnarounds  uint64 `json:"window_turnarounds,omitempty"`
 	WindowTurnaroundNs uint64 `json:"window_turnaround_ns,omitempty"`
 }

@@ -12,12 +12,12 @@ import (
 	"forkoram/internal/wal"
 )
 
-// The overlap tests pin the two mechanisms that let Fork Path overlap
-// work — the pipelined engine and the cross-window run loop — as counts
-// of overlapping round trips, never as speeds. A simulated remote tier
-// whose Sleep hook never sleeps stands in for the medium: the hook only
-// counts the round trips in flight, and a journal wrapper counts the
-// Syncs issued while one is.
+// The overlap tests pin where work overlaps — inside the pipelined
+// engine, and never between a window's journal Sync and the serial
+// engine's device work — as counts of overlapping round trips, never as
+// speeds. A simulated remote tier whose Sleep hook never sleeps stands
+// in for the medium: the hook only counts the round trips in flight,
+// and a journal wrapper counts the Syncs issued while one is.
 const (
 	// gateReadRTT and gateWriteRTT are the remote tier's configured
 	// latencies. Nothing sleeps them; they tell the hook a read round
@@ -32,25 +32,20 @@ const (
 // rttGate counts simulated remote round trips in flight and journal
 // Syncs issued while one is in flight. Nothing is counted before arm,
 // so a device's or service's setup traffic stays out of the counts.
-// After holdWrite, the next write round trip is held until something
-// else starts — another round trip, or with untilSync a journal Sync —
-// so any overlap the code allows shows, however the host schedules
-// goroutines.
+// After holdWrite, the next write round trip is held until another
+// round trip starts, so any overlap the code allows shows, however the
+// host schedules goroutines.
 type rttGate struct {
 	mu         sync.Mutex
 	armed      bool
 	holdNext   bool // hold the next write round trip
-	untilSync  bool // only a journal Sync releases the hold
 	waiter     chan struct{}
-	held       chan struct{} // closed once the hold begins
-	expired    bool          // the hang guard, not a start, ended the hold
+	expired    bool // the hang guard, not a start, ended the hold
 	inFlight   int
 	maxFlight  int
 	syncs      int
 	overlapped int // Syncs that started with a round trip in flight
 }
-
-func newRTTGate() *rttGate { return &rttGate{held: make(chan struct{})} }
 
 // remote is the remote-tier configuration routing every round trip
 // through the gate.
@@ -68,20 +63,11 @@ func (g *rttGate) arm() {
 	g.mu.Unlock()
 }
 
-// holdWrite arms a hold on the next write round trip; untilSync makes
-// a journal Sync, not another round trip, the only release.
-func (g *rttGate) holdWrite(untilSync bool) {
+// holdWrite arms a hold on the next write round trip.
+func (g *rttGate) holdWrite() {
 	g.mu.Lock()
-	g.holdNext, g.untilSync = true, untilSync
+	g.holdNext = true
 	g.mu.Unlock()
-}
-
-// releaseLocked ends a pending hold.
-func (g *rttGate) releaseLocked() {
-	if g.waiter != nil {
-		close(g.waiter)
-		g.waiter = nil
-	}
 }
 
 // roundTrip is the RemoteConfig.Sleep hook: one call is one round trip.
@@ -93,15 +79,15 @@ func (g *rttGate) roundTrip(d time.Duration) {
 	}
 	g.inFlight++
 	g.maxFlight = max(g.maxFlight, g.inFlight)
-	if !g.untilSync {
-		g.releaseLocked()
+	if g.waiter != nil {
+		close(g.waiter) // this start ends the pending hold
+		g.waiter = nil
 	}
 	var wait chan struct{}
 	if g.holdNext && d == gateWriteRTT {
 		g.holdNext = false
 		wait = make(chan struct{})
 		g.waiter = wait
-		close(g.held)
 	}
 	g.mu.Unlock()
 	if wait != nil {
@@ -136,7 +122,6 @@ func (j *gateJournal) Sync() error {
 		if g.inFlight > 0 {
 			g.overlapped++
 		}
-		g.releaseLocked()
 	}
 	g.mu.Unlock()
 	return j.Store.Sync()
@@ -161,7 +146,7 @@ func TestPipelineOverlapsRoundTrips(t *testing.T) {
 				if procs > 0 {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				}
-				gate := newRTTGate()
+				gate := new(rttGate)
 				cfg := DeviceConfig{Blocks: 128, BlockSize: 32, Seed: 3, Variant: Fork, PipelineDepth: depth}
 				cfg.Storage.Remote = gate.remote()
 				dev, err := NewDevice(cfg)
@@ -171,7 +156,7 @@ func TestPipelineOverlapsRoundTrips(t *testing.T) {
 				gate.arm()
 				if depth > 1 {
 					// The serial engine has nothing to release a hold.
-					gate.holdWrite(false)
+					gate.holdWrite()
 				}
 				ops := make([]BatchOp, 32)
 				for i := range ops {
@@ -205,35 +190,23 @@ func TestPipelineOverlapsRoundTrips(t *testing.T) {
 	}
 }
 
-// TestCrossWindowSyncOverlapsApply replaces the cross-window speed
-// guard with the property it stood for: the committer journals and
-// syncs the next window while the applier still has a device round trip
-// in flight. The probe holds window A's first device write; a request
-// B sent meanwhile must be synced before that write returns. The
-// barriered loop syncs only between windows, so at depth 1 — where no
-// writeback outlives its Batch — none of its Syncs overlaps a round
-// trip. Both loops also count a seam turnaround per pipelined window
-// after the first.
-func TestCrossWindowSyncOverlapsApply(t *testing.T) {
+// TestWindowSeamSyncsAndTurnarounds pins the run loop's window seams.
+// The journal Sync that commits a window is issued between windows:
+// at depth 1, where no writeback outlives its Batch, none of two
+// consecutive writes' Syncs overlaps a device round trip. At depth 4
+// the device session stays open across windows, and every pipelined
+// window after the first counts a seam turnaround.
+func TestWindowSeamSyncsAndTurnarounds(t *testing.T) {
 	for _, procs := range []int{0, 1} {
-		for _, tc := range []struct {
-			name        string
-			crossWindow bool
-			depth       int
-		}{
-			{"barriered/depth1", false, 1},
-			{"barriered/depth4", false, 4},
-			{"crosswindow/depth4", true, 4},
-		} {
-			t.Run(fmt.Sprintf("gomaxprocs%d/%s", procs, tc.name), func(t *testing.T) {
+		for _, depth := range []int{1, 4} {
+			t.Run(fmt.Sprintf("gomaxprocs%d/depth%d", procs, depth), func(t *testing.T) {
 				if procs > 0 {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				}
-				gate := newRTTGate()
+				gate := new(rttGate)
 				cfg := testServiceConfig(Fork)
 				cfg.CheckpointEvery = 1 << 30
-				cfg.CrossWindow = tc.crossWindow
-				cfg.Device.PipelineDepth = tc.depth
+				cfg.Device.PipelineDepth = depth
 				cfg.Device.Storage.Remote = gate.remote()
 				cfg.WAL = gate.journal(wal.NewMemStore())
 				svc, err := NewService(cfg)
@@ -244,42 +217,21 @@ func TestCrossWindowSyncOverlapsApply(t *testing.T) {
 				gate.arm()
 				ctx := context.Background()
 
-				// Overlap probe. It runs first, so no pipelined writeback
-				// from an earlier window is still in flight to be held.
-				if tc.crossWindow {
-					gate.holdWrite(true)
-				}
-				errA := make(chan error, 1)
-				go func() { errA <- svc.Write(ctx, 1, chaosPayload(32, 4, 1)) }()
-				if tc.crossWindow {
-					select {
-					case <-gate.held:
-					case err := <-errA:
-						t.Fatalf("write A returned (%v) without a device write round trip to hold", err)
-					}
-				} else if err := <-errA; err != nil {
-					t.Fatal(err)
-				}
-				if err := svc.Write(ctx, 2, chaosPayload(32, 4, 2)); err != nil {
-					t.Fatal(err)
-				}
-				if tc.crossWindow {
-					if err := <-errA; err != nil {
+				for a := uint64(1); a <= 2; a++ {
+					if err := svc.Write(ctx, a, chaosPayload(32, 4, a)); err != nil {
 						t.Fatal(err)
 					}
 				}
-				_, syncs, overlapped, expired := gate.counts()
+				_, syncs, overlapped, _ := gate.counts()
 				switch {
 				case syncs < 2:
 					t.Fatalf("%d journal syncs for two writes", syncs)
-				case tc.crossWindow && overlapped == 0:
-					t.Fatalf("no journal sync overlapped a device round trip (hold expired: %v)", expired)
-				case tc.depth == 1 && overlapped != 0:
-					t.Fatalf("barriered loop at depth 1: %d syncs overlapped a device round trip, want 0", overlapped)
+				case depth == 1 && overlapped != 0:
+					t.Fatalf("depth 1: %d syncs overlapped a device round trip, want 0", overlapped)
 				}
 
 				// Seam turnarounds: consecutive pipelined windows.
-				if tc.depth == 1 {
+				if depth == 1 {
 					return
 				}
 				before := svc.Stats().Pipeline.WindowTurnarounds

@@ -187,19 +187,14 @@ func TestPipelineDepthTraceEquivalence(t *testing.T) {
 // stress test at its shallowest depth (two accesses in flight, one
 // refill queued): admission and singleton session teardown racing the
 // stage workers.
-func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 2, false) }
+func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 2) }
 
 // TestConcurrentServeServiceStress is the same oracle stress with a
 // deeper window: four-way worker-pool execution racing admission,
 // multi-slot prefetch, dependency parking, and overlapped writebacks.
-func TestConcurrentServeServiceStress(t *testing.T) { runPipelineServiceStress(t, 4, false) }
+func TestConcurrentServeServiceStress(t *testing.T) { runPipelineServiceStress(t, 4) }
 
-// TestCrossWindowServiceStress piles the cross-window committer/applier
-// split on top: group commit for window W+1 journaling while W executes,
-// with the device pipeline persistent across the seam.
-func TestCrossWindowServiceStress(t *testing.T) { runPipelineServiceStress(t, 4, true) }
-
-func runPipelineServiceStress(t *testing.T, depth int, crossWindow bool) {
+func runPipelineServiceStress(t *testing.T, depth int) {
 	const (
 		blocks    = 64
 		blockSize = 32
@@ -213,7 +208,6 @@ func runPipelineServiceStress(t *testing.T, depth int, crossWindow bool) {
 		},
 		QueueDepth:      32,
 		CheckpointEvery: 64,
-		CrossWindow:     crossWindow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -393,35 +387,32 @@ func TestPipelineStallAccounting(t *testing.T) {
 
 // TestKilledServiceClosesSession: a crash-injected death right after a
 // pipelined window leaves the device session open with its stage
-// goroutines parked. The run loop's exit must join it, under either
-// loop, so Close on the dead incarnation returns with no stage left to
-// write into a medium its successor restores.
+// goroutines parked. The run loop's exit must join it, so Close on the
+// dead incarnation returns with no stage left to write into a medium
+// its successor restores.
 func TestKilledServiceClosesSession(t *testing.T) {
-	for _, xw := range []bool{false, true} {
-		cfg := testServiceConfig(Fork)
-		cfg.Device.PipelineDepth = 4
-		cfg.CrossWindow = xw
-		var armed atomic.Bool
-		cfg.crashHook = func(p CrashPoint) bool { return p == CrashAfterApply && armed.Load() }
-		svc, err := NewService(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		armed.Store(true)
-		ops := []BatchOp{
-			{Addr: 1, Write: true, Data: chaosPayload(32, 5, 1)},
-			{Addr: 2, Write: true, Data: chaosPayload(32, 5, 2)},
-			{Addr: 3},
-		}
-		if _, err := svc.Batch(context.Background(), ops); !errors.Is(err, errKilled) {
-			t.Fatalf("xw %v: batch error %v, want the injected kill", xw, err)
-		}
-		svc.Close()
-		if svc.dev.ctl.PipelineStats().Windows == 0 {
-			t.Fatalf("xw %v: the killed window never pipelined", xw)
-		}
-		if svc.dev.sessionOpen {
-			t.Fatalf("xw %v: dead incarnation left its pipelined session open", xw)
-		}
+	cfg := testServiceConfig(Fork)
+	cfg.Device.PipelineDepth = 4
+	var armed atomic.Bool
+	cfg.crashHook = func(p CrashPoint) bool { return p == CrashAfterApply && armed.Load() }
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	ops := []BatchOp{
+		{Addr: 1, Write: true, Data: chaosPayload(32, 5, 1)},
+		{Addr: 2, Write: true, Data: chaosPayload(32, 5, 2)},
+		{Addr: 3},
+	}
+	if _, err := svc.Batch(context.Background(), ops); !errors.Is(err, errKilled) {
+		t.Fatalf("batch error %v, want the injected kill", err)
+	}
+	svc.Close()
+	if svc.dev.ctl.PipelineStats().Windows == 0 {
+		t.Fatal("the killed window never pipelined")
+	}
+	if svc.dev.sessionOpen {
+		t.Fatal("dead incarnation left its pipelined session open")
 	}
 }

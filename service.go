@@ -258,16 +258,7 @@ const (
 	// the intra-shard pipeline engages (DeviceConfig.PipelineDepth > 1
 	// on a multi-op window).
 	CrashMidServe
-	// CrashMidWindowSeam: on the cross-window committer, immediately
-	// after window W+1 was journaled, synced, and handed to the applier
-	// — window W may still be executing or retiring on the device, with
-	// W+1's records durable but not applied. Neither window is
-	// acknowledged past its own apply, so recovery must reconstruct
-	// both from the journal over a medium holding an arbitrary prefix
-	// of W's writebacks. Consulted only when ServiceConfig.CrossWindow
-	// pipelines the group commit.
-	CrashMidWindowSeam
-	numCrashPoints = int(CrashMidWindowSeam) + 1
+	numCrashPoints = int(CrashMidServe) + 1
 )
 
 // String implements fmt.Stringer.
@@ -297,8 +288,6 @@ func (p CrashPoint) String() string {
 		return "mid-scrub"
 	case CrashMidServe:
 		return "mid-serve"
-	case CrashMidWindowSeam:
-		return "mid-window-seam"
 	}
 	return fmt.Sprintf("point(%d)", int(p))
 }
@@ -308,7 +297,12 @@ type ServiceConfig struct {
 	// Device configures the underlying oblivious block store. The
 	// Service owns the device; do not touch it directly.
 	Device DeviceConfig
-	// QueueDepth bounds the admission queue (default 64).
+	// QueueDepth bounds the admission queue (default 64), and with it
+	// the dispatch window: the worker coalesces up to QueueDepth queued
+	// requests into one group commit, whose journal records are framed
+	// as one batch, made durable behind a single sync, and served
+	// through one Device.Batch so the Fork scheduler merges across the
+	// whole window. 1 makes every request commit alone.
 	QueueDepth int
 	// Backpressure selects blocking vs. fail-fast admission when the
 	// queue is full.
@@ -316,18 +310,6 @@ type ServiceConfig struct {
 	// CheckpointEvery is the number of acknowledged operations between
 	// automatic checkpoints (default 128). Checkpoint() forces one.
 	CheckpointEvery int
-	// MaxGroupSize bounds how many queued requests the worker coalesces
-	// into one group commit: the group's journal records are framed as
-	// one batch, made durable behind a single sync, and served through
-	// one Device.Batch so the Fork scheduler merges across the whole
-	// window. Default is QueueDepth; 1 disables coalescing (every
-	// request commits alone — the per-op-sync baseline).
-	MaxGroupSize int
-	// GroupLinger, when positive, lets the worker wait up to this long
-	// for more requests to join a group after the queue runs dry, trading
-	// latency for larger commit windows. Default 0: a group is whatever
-	// is already queued when the worker comes around.
-	GroupLinger time.Duration
 	// BurstLinger bounds how long the worker waits for a second request
 	// to join a dispatch window when the first arrives to an empty
 	// queue: clients admitted in the same burst may not have enqueued
@@ -337,19 +319,9 @@ type ServiceConfig struct {
 	// negative disables. The wait is not noise: on an otherwise idle
 	// runtime the netpoller rounds a sub-millisecond timer up to a 1 ms
 	// tick, so a lone sequential client pays about 1 ms per op (p50
-	// 1.07 ms on a 2-vCPU host, Go 1.24). Ignored when MaxGroupSize <= 1
+	// 1.07 ms on a 2-vCPU host, Go 1.24). Ignored when QueueDepth <= 1
 	// or the service is not healthy.
 	BurstLinger time.Duration
-	// CrossWindow pipelines the group commit across dispatch windows
-	// (DESIGN.md §16): while window W executes on the device, window
-	// W+1 is gathered, journaled, and fsynced concurrently, and the
-	// handed-over window starts executing the moment W retires. (The
-	// device-side pipeline stays primed across seams in either loop
-	// whenever DeviceConfig.PipelineDepth >= 2.) The acknowledgement
-	// invariant is unchanged: a write is acked only after ITS OWN group
-	// is durable AND applied. Default false (the window-barriered
-	// scheduler).
-	CrossWindow bool
 	// MaxRecoveries bounds consecutive supervised recoveries (default 8).
 	// The counter resets whenever a checkpoint commits — real forward
 	// progress — so a service that heals and keeps working is never
@@ -408,12 +380,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 128
-	}
-	if c.MaxGroupSize == 0 {
-		c.MaxGroupSize = c.QueueDepth
-	}
-	if c.MaxGroupSize < 1 {
-		c.MaxGroupSize = 1
 	}
 	if c.BurstLinger == 0 {
 		c.BurstLinger = 25 * time.Microsecond
@@ -493,9 +459,9 @@ type ServiceStats struct {
 	// Checkpoints counts committed checkpoints (journal truncations).
 	Checkpoints uint64
 	// WALRecords counts journal records appended; WALSyncs the
-	// durability barriers issued for them. Under group commit one sync
-	// covers a whole window, so WALSyncs/WALRecords is the amortization
-	// the pipeline buys (1.0 means per-op sync).
+	// durability barriers issued for them. One sync covers a whole
+	// dispatch window, so WALSyncs/WALRecords is the amortization group
+	// commit buys (1.0 means one sync per record).
 	WALRecords uint64
 	WALSyncs   uint64
 	// Groups counts dispatch windows (coalesced or singleton) served on
@@ -592,11 +558,11 @@ type Service struct {
 	state ServiceState
 	cause error // terminal cause (Degraded/Failed)
 
-	// logMu serializes journal-store access. In serial mode it is
-	// uncontended; in cross-window mode the committer's appends and
-	// syncs race the applier's recovery loads — and the chaos harness's
-	// kill hook tears the store buffer, so killed()'s hook consultation
-	// sits under it too. No holder of logMu may call killed().
+	// logMu serializes journal-store access with killed()'s hook
+	// consultation: the chaos harness's kill hook tears the store
+	// buffer, and the pipelined session's serve workers and writebacks
+	// (which outlive the Batch that issued them) consult it while the
+	// run loop appends and syncs. No holder of logMu may call killed().
 	logMu sync.Mutex
 
 	// Worker-owned (no locking): the device, journal, and checkpoint
@@ -619,29 +585,6 @@ type Service struct {
 	recsBuf  []wal.Record
 	opsBuf   []BatchOp
 	spanBuf  []reqSpan
-
-	// Cross-window mode (DESIGN.md §16). Validation geometry is captured
-	// at construction because mid-flight the device belongs to the
-	// applier goroutine (geometry is immutable across restores, so the
-	// capture never goes stale). xwLast is committer-owned; xwDead is
-	// closed by the applier when crash injection strikes on its side, so
-	// a committer parked on the queue still dies.
-	valBlocks    uint64
-	valBlockSize int
-	xwLast       *xwWindow
-	xwDead       chan struct{}
-	xwKill1      sync.Once
-}
-
-// xwWindow is one journaled dispatch window in flight between the
-// cross-window committer and the applier. Everything inside is
-// immutable after the hand-off; done is the happens-before edge back
-// to the committer (closed once the window is fully answered).
-type xwWindow struct {
-	live  []*svcReq
-	ops   []BatchOp
-	spans []reqSpan
-	done  chan struct{}
 }
 
 // reqSpan is one request's slice [start, end) of a group's combined
@@ -729,15 +672,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			return nil, lastErr
 		}
 	}
-	// The device exists on every path above; its config carries the
-	// defaults the raw cfg.Device may lack.
-	s.valBlocks, s.valBlockSize = s.dev.cfg.Blocks, s.dev.cfg.BlockSize
-	s.xwDead = make(chan struct{})
-	if cfg.CrossWindow {
-		go s.runXW()
-	} else {
-		go s.run()
-	}
+	go s.run()
 	return s, nil
 }
 
@@ -846,38 +781,52 @@ func (s *Service) do(ctx context.Context, req *svcReq) (svcResp, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
+	if err := s.admit(ctx, req); err != nil {
 		return svcResp{}, err
+	}
+	return s.await(ctx, req)
+}
+
+// admit enqueues req on the admission queue; a nil return means the run
+// loop will answer it on req.resp.
+func (s *Service) admit(ctx context.Context, req *svcReq) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	req.resp = make(chan svcResp, 1)
 	if s.cfg.Backpressure == BackpressureReject {
 		select {
 		case s.q <- req:
 		case <-s.closing:
-			return svcResp{}, ErrClosed
+			return ErrClosed
 		case <-s.done:
 			// Supervisor gone (crash-injected death): the queue would
 			// swallow the request forever.
-			return svcResp{}, s.deadErr()
+			return s.deadErr()
 		case <-ctx.Done():
-			return svcResp{}, ctx.Err()
+			return ctx.Err()
 		default:
 			s.mu.Lock()
 			s.stats.Overloaded++
 			s.mu.Unlock()
-			return svcResp{}, ErrOverloaded
+			return ErrOverloaded
 		}
 	} else {
 		select {
 		case s.q <- req:
 		case <-s.closing:
-			return svcResp{}, ErrClosed
+			return ErrClosed
 		case <-s.done:
-			return svcResp{}, s.deadErr()
+			return s.deadErr()
 		case <-ctx.Done():
-			return svcResp{}, ctx.Err()
+			return ctx.Err()
 		}
 	}
+	return nil
+}
+
+// await waits for the response to an admitted request.
+func (s *Service) await(ctx context.Context, req *svcReq) (svcResp, error) {
 	select {
 	case r := <-req.resp:
 		return r, r.err
@@ -946,394 +895,13 @@ func (s *Service) run() {
 	}
 }
 
-// closeSession joins the device's pipelined session when a run loop
+// closeSession joins the device's pipelined session when the run loop
 // exits. A clean Close already closed it at the final checkpoint; a
 // crash-injected death can leave it open after a window, and a dead
 // incarnation must keep no stage goroutines. Close returns only after
 // this ran, so a caller that Closes a dead incarnation before reopening
 // its stores knows no old writeback can still land on a shared medium.
 func (s *Service) closeSession() { _ = s.dev.endSession() }
-
-// runXW is the cross-window supervisor (ServiceConfig.CrossWindow): the
-// group commit is split across two goroutines so window W+1's journal
-// append and fsync overlap window W's device execution. This goroutine
-// is the COMMITTER — it gathers, validates, journals, and hands durable
-// windows to the applier; the applier owns the device and answers
-// requests. The acknowledgement invariant is untouched: the applier
-// acks a write only after its own group is durable AND applied. What
-// overlaps is machinery, not acknowledgement.
-func (s *Service) runXW() {
-	defer close(s.done)
-	defer s.closeSession() // after the applier exits (defers run LIFO)
-	// Cap 1 gives three windows of lookahead at most: one executing on
-	// the applier, one buffered durable, one being journaled here.
-	applyCh := make(chan *xwWindow, 1)
-	apDone := make(chan struct{})
-	defer func() {
-		// The applier drains every handed-over window before exiting, so
-		// no client is left unanswered even after a kill.
-		close(applyCh)
-		<-apDone
-	}()
-	go s.xwApplier(applyCh, apDone)
-	for {
-		select {
-		case req := <-s.q:
-			if !s.xwDispatch(req, applyCh) {
-				s.drainKilled()
-				return
-			}
-		case <-s.xwDead:
-			// Crash injection on the applier side; die like run() would.
-			s.drainKilled()
-			return
-		case <-s.closing:
-			for {
-				select {
-				case req := <-s.q:
-					if !s.xwDispatch(req, applyCh) {
-						s.drainKilled()
-						return
-					}
-					continue
-				case <-s.xwDead:
-					s.drainKilled()
-					return
-				default:
-				}
-				break
-			}
-			s.xwBarrier()
-			if s.State() == StateHealthy {
-				s.closeRv = s.commitCheckpoint()
-			}
-			return
-		}
-	}
-}
-
-// xwDispatch serves one dispatch window in cross-window mode. Healthy
-// windows are journaled here and handed to the applier; checkpoint
-// requests and non-healthy states are barrier-served through the serial
-// paths (which answer per request and own the device while the applier
-// is provably idle). Reports false when crash injection killed the
-// service.
-func (s *Service) xwDispatch(first *svcReq, applyCh chan *xwWindow) bool {
-	g := s.gather(first)
-	defer func() {
-		// The gather scratch is reused; drop request references so a
-		// window cannot pin payloads past its dispatch.
-		for i := range g {
-			g[i] = nil
-		}
-	}()
-	if len(g) == 1 && (g[0].kind == reqCheckpoint || s.State() != StateHealthy) {
-		s.xwBarrier()
-		if s.State() == stateKilled {
-			g[0].resp <- svcResp{err: errKilled}
-			return false
-		}
-		return s.serve(g[0])
-	}
-	active := g
-	var ckpt *svcReq
-	if active[len(active)-1].kind == reqCheckpoint {
-		ckpt = active[len(active)-1]
-		active = active[:len(active)-1]
-	}
-	s.recordGroup(len(active))
-	if !s.xwCommitGroup(active, applyCh) {
-		if ckpt != nil {
-			ckpt.resp <- svcResp{err: errKilled}
-		}
-		return false
-	}
-	if ckpt != nil {
-		// Trailing checkpoint barrier: commits after the group it joined,
-		// and only once that group has fully retired on the applier.
-		s.xwBarrier()
-		if s.State() == stateKilled {
-			ckpt.resp <- svcResp{err: errKilled}
-			return false
-		}
-		return s.serve(ckpt)
-	}
-	return true
-}
-
-// xwCommitGroup journals one window and hands it to the applier:
-//
-//	validate each -> journal all writes in ONE frame batch -> ONE sync
-//	-> hand {live, ops, spans} over -> (applier) ONE Device.Batch
-//	-> (applier) distribute and ack.
-//
-// Identical to commitGroup through the sync; the apply half runs on the
-// applier goroutine, concurrently with the NEXT window's journaling
-// here. The window's slices are freshly allocated — they outlive this
-// call by design. Reports false when crash injection killed the
-// service (the handed-over window is then answered by the applier).
-func (s *Service) xwCommitGroup(g []*svcReq, applyCh chan *xwWindow) bool {
-	recs := s.recsBuf[:0]
-	defer func() {
-		for i := range recs {
-			recs[i].Payload = nil
-		}
-		s.recsBuf = recs[:0]
-	}()
-	w := &xwWindow{done: make(chan struct{})}
-	for _, req := range g {
-		if err := s.xwValidateReq(req); err != nil {
-			req.resp <- svcResp{err: err}
-			continue
-		}
-		w.live = append(w.live, req)
-	}
-	if len(w.live) == 0 {
-		return true // degenerate window: nothing to journal or apply
-	}
-	for _, req := range w.live {
-		switch req.kind {
-		case reqWrite:
-			recs = append(recs, wal.Record{Op: wal.OpWrite, Addr: req.addr, Payload: req.data})
-		case reqBatch:
-			for _, op := range req.ops {
-				if op.Write {
-					recs = append(recs, wal.Record{Op: wal.OpWrite, Addr: op.Addr, Payload: op.Data})
-				}
-			}
-		}
-	}
-	if len(recs) > 0 {
-		s.logMu.Lock()
-		err := s.log.AppendGroup(recs)
-		s.logMu.Unlock()
-		if err != nil {
-			return s.xwFailGroup(w.live, err)
-		}
-		s.bump(func(t *ServiceStats) { t.WALRecords += uint64(len(recs)) })
-		if s.killed(CrashAfterAppend) || s.killed(CrashAfterGroupAppend) {
-			s.killGroup(w.live)
-			return false
-		}
-		s.logMu.Lock()
-		err = s.log.Sync()
-		s.logMu.Unlock()
-		if err != nil {
-			return s.xwFailGroup(w.live, err)
-		}
-		s.bump(func(t *ServiceStats) { t.WALSyncs++ })
-		if s.killed(CrashAfterSync) || s.killed(CrashAfterGroupSync) {
-			s.killGroup(w.live)
-			return false
-		}
-	}
-	muts := 0
-	for _, req := range w.live {
-		start := len(w.ops)
-		switch req.kind {
-		case reqRead:
-			w.ops = append(w.ops, BatchOp{Addr: req.addr})
-		case reqWrite:
-			w.ops = append(w.ops, BatchOp{Addr: req.addr, Write: true, Data: req.data})
-		case reqBatch:
-			w.ops = append(w.ops, req.ops...)
-		}
-		w.spans = append(w.spans, reqSpan{start, len(w.ops)})
-		if req.kind != reqRead {
-			muts++
-		}
-	}
-	applyCh <- w // the applier consumes unconditionally; this never wedges
-	s.xwLast = w
-	if s.killed(CrashMidWindowSeam) {
-		return false
-	}
-	// Checkpoint cadence is committer-owned and counts mutations
-	// optimistically at hand-off: if the window fails on the applier the
-	// service leaves the healthy path and cadence stops mattering.
-	s.sinceCkpt += muts
-	if muts > 0 && s.sinceCkpt >= s.cfg.CheckpointEvery {
-		s.xwBarrier()
-		switch s.State() {
-		case stateKilled:
-			return false
-		case StateHealthy:
-			if err := s.commitCheckpoint(); errors.Is(err, errKilled) {
-				return false
-			}
-			// A failed periodic checkpoint is not fatal (see serve).
-		}
-	}
-	return true
-}
-
-// xwValidateReq mirrors validateReq against geometry captured at
-// construction: mid-flight the device belongs to the applier, and
-// geometry is immutable across restores (snapshot restore enforces it).
-func (s *Service) xwValidateReq(req *svcReq) error {
-	switch req.kind {
-	case reqRead:
-		return s.xwCheckAddr(req.addr)
-	case reqWrite:
-		if err := s.xwCheckAddr(req.addr); err != nil {
-			return err
-		}
-		if len(req.data) != s.valBlockSize {
-			return fmt.Errorf("forkoram: payload %d bytes, want %d", len(req.data), s.valBlockSize)
-		}
-	case reqBatch:
-		for i, op := range req.ops {
-			if err := s.xwCheckAddr(op.Addr); err != nil {
-				return fmt.Errorf("forkoram: batch op %d: %w", i, err)
-			}
-			if op.Write && len(op.Data) != s.valBlockSize {
-				return fmt.Errorf("forkoram: batch op %d: payload %d bytes, want %d",
-					i, len(op.Data), s.valBlockSize)
-			}
-		}
-	}
-	return nil
-}
-
-func (s *Service) xwCheckAddr(addr uint64) error {
-	if addr >= s.valBlocks {
-		return fmt.Errorf("forkoram: address %d out of range (blocks=%d)", addr, s.valBlocks)
-	}
-	return nil
-}
-
-// xwFailGroup is failGroup for the committer: answer everything (none
-// were acked), then heal the journal — which checkpoints, so the
-// applier must be drained first.
-func (s *Service) xwFailGroup(live []*svcReq, err error) bool {
-	for _, req := range live {
-		req.resp <- svcResp{err: err}
-	}
-	s.xwBarrier()
-	if s.State() == stateKilled {
-		return false
-	}
-	return s.healJournal()
-}
-
-// xwBarrier parks the committer until every handed-over window has
-// fully retired (answered, applied or refused). Windows retire in FIFO
-// order, so waiting on the last one suffices; the done-channel receive
-// is the happens-before edge that makes the device and journal tail
-// safe to touch from this goroutine afterwards.
-func (s *Service) xwBarrier() {
-	if s.xwLast != nil {
-		<-s.xwLast.done
-		s.xwLast = nil
-	}
-}
-
-// xwApplier is the cross-window apply loop: it owns the device while
-// the committer owns gathering and the journal tail. Windows arrive
-// already durable; each is executed through one Device.Batch (the
-// device's persistent pipeline keeps its stages primed across these
-// calls), distributed, acked, and followed by the post-window
-// housekeeping (scrub cadence, stat folds). The loop never exits before
-// applyCh closes: after a kill it keeps draining, answering errKilled,
-// so the committer can never wedge on a hand-off.
-func (s *Service) xwApplier(applyCh chan *xwWindow, apDone chan struct{}) {
-	defer close(apDone)
-	for w := range applyCh {
-		s.xwApplyWindow(w)
-		close(w.done)
-	}
-}
-
-// xwApplyWindow executes one durable window on the device and answers
-// its requests. Runs on the applier goroutine.
-func (s *Service) xwApplyWindow(w *xwWindow) {
-	switch s.State() {
-	case stateKilled:
-		s.killGroup(w.live)
-		return
-	case StateFailed, StateDegraded:
-		// A previous window spent the recovery budget after this one was
-		// journaled. Nothing here was acked; refuse with the terminal
-		// error like the serial paths would.
-		for _, req := range w.live {
-			req.resp <- svcResp{err: s.terminalErr()}
-		}
-		return
-	}
-	var out [][]byte
-	for {
-		var err error
-		out, err = s.dev.Batch(w.ops)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, errKilled) {
-			s.killGroup(w.live)
-			s.xwDie()
-			return
-		}
-		if s.dev.Poisoned() == nil {
-			// Unreachable by construction — every op was pre-validated —
-			// but fail the window defensively rather than panic.
-			for _, req := range w.live {
-				req.resp <- svcResp{err: err}
-			}
-			return
-		}
-		if rerr := s.supervise(err); rerr != nil {
-			if errors.Is(rerr, errKilled) {
-				s.killGroup(w.live)
-				s.xwDie()
-				return
-			}
-			for _, req := range w.live {
-				req.resp <- svcResp{err: rerr}
-			}
-			return
-		}
-		// Recovery replayed every durable record — including any the
-		// committer already journaled for windows BEHIND this one (they
-		// land early, then their own Batch re-applies them idempotently,
-		// exactly like this window's re-run below).
-	}
-	if s.killed(CrashAfterApply) {
-		s.killGroup(w.live)
-		s.xwDie()
-		return
-	}
-	// Count before acking, as commitGroup does.
-	muts := 0
-	for i, req := range w.live {
-		sp := w.spans[i]
-		switch req.kind {
-		case reqRead:
-			s.bump(func(t *ServiceStats) { t.Reads++ })
-			req.resp <- svcResp{data: out[sp.start]}
-		case reqWrite:
-			s.bump(func(t *ServiceStats) { t.Writes++ })
-			req.resp <- svcResp{}
-			muts++
-		case reqBatch:
-			s.bump(func(t *ServiceStats) { t.Batches++ })
-			req.resp <- svcResp{batch: out[sp.start:sp.end:sp.end]}
-			muts++
-		}
-	}
-	s.sinceScrub += muts
-	s.foldPipelineStats()
-	if !s.maybeScrub() {
-		s.xwDie()
-		return
-	}
-	s.foldStorageStats()
-}
-
-// xwDie signals the committer that crash injection struck on the
-// applier side: the committer exits its loop (simulated process death)
-// while this goroutine keeps draining handed-over windows.
-func (s *Service) xwDie() {
-	s.xwKill1.Do(func() { close(s.xwDead) })
-}
 
 // dispatch coalesces first with whatever else the queue holds and serves
 // the window. A window of one goes down the exact singleton path (same
@@ -1391,8 +959,7 @@ func (s *Service) maybeScrub() bool {
 }
 
 // gather builds one dispatch window: the first request plus up to
-// MaxGroupSize-1 more drained without blocking (and, with GroupLinger,
-// waited for briefly once the queue runs dry). A checkpoint request
+// QueueDepth-1 more drained without blocking. A checkpoint request
 // terminates the window as a trailing barrier — it commits after the
 // group it joined, never reordered before other requests. Degraded,
 // failed, and checkpoint-first requests are served alone: their paths
@@ -1400,7 +967,7 @@ func (s *Service) maybeScrub() bool {
 func (s *Service) gather(first *svcReq) []*svcReq {
 	g := append(s.groupBuf[:0], first)
 	defer func() { s.groupBuf = g[:0] }()
-	if first.kind == reqCheckpoint || s.cfg.MaxGroupSize <= 1 || s.State() != StateHealthy {
+	if first.kind == reqCheckpoint || s.cfg.QueueDepth <= 1 || s.State() != StateHealthy {
 		return g
 	}
 	// First-request linger: clients admitted in the same instant as
@@ -1422,7 +989,7 @@ func (s *Service) gather(first *svcReq) []*svcReq {
 		}
 		timer.Stop()
 	}
-	for len(g) < s.cfg.MaxGroupSize {
+	for len(g) < s.cfg.QueueDepth {
 		select {
 		case req := <-s.q:
 			g = append(g, req)
@@ -1433,23 +1000,6 @@ func (s *Service) gather(first *svcReq) []*svcReq {
 		default:
 		}
 		break
-	}
-	if s.cfg.GroupLinger > 0 && len(g) < s.cfg.MaxGroupSize {
-		timer := time.NewTimer(s.cfg.GroupLinger)
-		defer timer.Stop()
-		for len(g) < s.cfg.MaxGroupSize {
-			select {
-			case req := <-s.q:
-				g = append(g, req)
-				if req.kind == reqCheckpoint {
-					return g
-				}
-			case <-timer.C:
-				return g
-			case <-s.closing:
-				return g
-			}
-		}
 	}
 	return g
 }
@@ -2243,8 +1793,8 @@ func (s *Service) persistCheckpoint(snap *Snapshot) error {
 
 // killed consults the crash hook at one CrashPoint. The consultation
 // runs under logMu: the chaos harness's hook tears the journal store's
-// buffer at kill time, which must not race a concurrent append or
-// recovery load on the other cross-window goroutine.
+// buffer at kill time, and pipeline workers consult the hook while the
+// run loop may be using the journal.
 func (s *Service) killed(p CrashPoint) bool {
 	if s.cfg.crashHook == nil {
 		return false

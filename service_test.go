@@ -545,6 +545,8 @@ func TestCloseVsCommitRace(t *testing.T) {
 	// An acked-then-dropped write or an ack issued after Close returned
 	// are both violations. Each writer owns one address and writes
 	// strictly increasing versions, so "last acked payload" is exact.
+	// Odd rounds run the pipelined engine at depth 4, so Close also
+	// drains a device session left open across windows.
 	rounds := 40
 	if testing.Short() {
 		rounds = 8
@@ -553,16 +555,18 @@ func TestCloseVsCommitRace(t *testing.T) {
 	payload := func(w, v int) []byte {
 		return chaosPayload(16, 0xc105e, uint64(w)<<32|uint64(v))
 	}
+	var pipelined uint64 // windows the depth-4 rounds ran pipelined
 	for round := 0; round < rounds; round++ {
 		walStore := wal.NewMemStore()
 		cks := NewMemCheckpointStore()
 		cfg := ServiceConfig{
 			Device: DeviceConfig{
-				Blocks:    16,
-				BlockSize: 16,
-				QueueSize: 4,
-				Seed:      uint64(round + 1),
-				Variant:   Fork,
+				Blocks:        16,
+				BlockSize:     16,
+				QueueSize:     4,
+				Seed:          uint64(round + 1),
+				Variant:       Fork,
+				PipelineDepth: 1 + 3*(round%2),
 			},
 			QueueDepth:      writers * 2,
 			CheckpointEvery: 5, // commits land mid-race, not just at Close
@@ -609,6 +613,7 @@ func TestCloseVsCommitRace(t *testing.T) {
 			t.Fatalf("round %d: close: %v", round, err)
 		}
 		closeReturned.Store(true)
+		pipelined += svc.Stats().Pipeline.Windows
 		wg.Wait()
 		close(errCh)
 		for err := range errCh {
@@ -642,6 +647,78 @@ func TestCloseVsCommitRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if pipelined == 0 {
+		t.Fatal("no depth-4 round ran a pipelined window")
+	}
+}
+
+// TestCrossWindowCloseMidSeam closes a PipelineDepth-4 Service while a
+// burst of writers keeps its device session open across window seams.
+// Close must drain the session cleanly, and every acknowledged write
+// must be present after a reopen from the same journal and checkpoint
+// stores.
+func TestCrossWindowCloseMidSeam(t *testing.T) {
+	walStore := wal.NewMemStore()
+	ckpts := NewMemCheckpointStore()
+	cfg := testServiceConfig(Fork)
+	cfg.Device.QueueSize = 8
+	cfg.Device.PipelineDepth = 4
+	cfg.QueueDepth = 16
+	cfg.WAL = walStore
+	cfg.Checkpoints = ckpts
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const writers, each = 8, 6
+	acked := make([][]uint64, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				addr := uint64(w*each + i)
+				err := svc.Write(ctx, addr, chaosPayload(32, 99, addr))
+				if err == nil {
+					acked[w] = append(acked[w], addr)
+					continue
+				}
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("writer %d: %v", w, err)
+				}
+				return // closed mid-burst: later writes would also be refused
+			}
+		}(w)
+	}
+	// Let the burst engage the seam, then close into it.
+	time.Sleep(2 * time.Millisecond)
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close mid-seam: %v", err)
+	}
+	wg.Wait()
+
+	// Every acknowledged write must be present in the next incarnation.
+	svc2, err := NewService(cfg)
+	if err != nil {
+		t.Fatalf("reopen after mid-seam close: %v", err)
+	}
+	defer svc2.Close()
+	n := 0
+	for w := range acked {
+		for _, addr := range acked[w] {
+			got, err := svc2.Read(ctx, addr)
+			if err != nil {
+				t.Fatalf("reopened read %d: %v", addr, err)
+			}
+			if !bytes.Equal(got, chaosPayload(32, 99, addr)) {
+				t.Fatalf("acked write %d lost across mid-seam close", addr)
+			}
+			n++
+		}
+	}
+	t.Logf("%d acked writes survived a mid-seam close", n)
 }
 
 // TestServiceFileJournalCrashReopen runs a Service over a file journal

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,12 +60,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 }
 
 // TestGroupMaxSizeBound: with a deterministic backlog larger than
-// MaxGroupSize, no dispatch window may exceed the bound.
+// QueueDepth, no dispatch window may exceed QueueDepth.
 func TestGroupMaxSizeBound(t *testing.T) {
 	entered, gate := make(chan struct{}), make(chan struct{})
 	cfg := testServiceConfig(Fork)
-	cfg.QueueDepth = 8
-	cfg.MaxGroupSize = 2
+	cfg.QueueDepth = 2
 	cfg.CheckpointEvery = 1 << 30
 	cfg.crashHook = blockingHook(entered, gate)
 	svc, err := NewService(cfg)
@@ -81,7 +81,10 @@ func TestGroupMaxSizeBound(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	<-entered // worker held inside write 0; build a 6-deep backlog behind it
+	// Worker held inside write 0; build a 6-deep backlog behind it: two
+	// queued, the rest blocked on admission and refilling the queue as
+	// the worker drains it.
+	<-entered
 	for w := 1; w <= 6; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -102,46 +105,11 @@ func TestGroupMaxSizeBound(t *testing.T) {
 	}
 	for b := 2; b < len(st.GroupSizes); b++ {
 		if st.GroupSizes[b] != 0 {
-			t.Fatalf("window larger than MaxGroupSize=2 dispatched: hist %v", st.GroupSizes)
+			t.Fatalf("window larger than QueueDepth=2 dispatched: hist %v", st.GroupSizes)
 		}
 	}
 	if st.GroupSizes[1] == 0 {
 		t.Fatalf("backlog of 6 never produced a size-2 window: hist %v", st.GroupSizes)
-	}
-}
-
-// TestGroupLinger: with a linger window, two writes landing within it
-// must share one group and one journal sync even when the second write
-// arrives after the worker has already drained the queue dry.
-func TestGroupLinger(t *testing.T) {
-	cfg := testServiceConfig(Fork)
-	cfg.QueueDepth = 8
-	cfg.GroupLinger = 300 * time.Millisecond
-	cfg.CheckpointEvery = 1 << 30
-	svc, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if w == 1 {
-				time.Sleep(20 * time.Millisecond) // inside the linger window
-			}
-			if err := svc.Write(ctx, uint64(w), chaosPayload(32, 2, uint64(w)+1)); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := svc.Stats()
-	if st.Groups != 1 || st.GroupedOps != 2 || st.WALSyncs != 1 {
-		t.Fatalf("linger did not coalesce: groups %d, grouped ops %d, syncs %d",
-			st.Groups, st.GroupedOps, st.WALSyncs)
 	}
 }
 
@@ -334,5 +302,106 @@ func TestGroupMixedKindsInterleave(t *testing.T) {
 	st := svc.Stats()
 	if want := uint64(goroutines * rounds); st.GroupedOps != want {
 		t.Fatalf("grouped ops %d, want %d (every request in exactly one window)", st.GroupedOps, want)
+	}
+}
+
+// TestBurstLingerCoalesces pins the explicit first-request linger that
+// replaced the scheduler-yield coalescing hack: a second write landing
+// within BurstLinger of the first must still share its window and its
+// sync — on any host, not just a single-P runtime.
+func TestBurstLingerCoalesces(t *testing.T) {
+	cfg := testServiceConfig(Fork)
+	cfg.QueueDepth = 8
+	cfg.BurstLinger = 300 * time.Millisecond
+	cfg.CheckpointEvery = 1 << 30
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == 1 {
+				time.Sleep(20 * time.Millisecond) // inside the burst linger
+			}
+			if err := svc.Write(ctx, uint64(w), chaosPayload(32, 5, uint64(w)+1)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := svc.Stats()
+	if st.Groups != 1 || st.GroupedOps != 2 || st.WALSyncs != 1 {
+		t.Fatalf("burst linger did not coalesce: groups %d, grouped ops %d, syncs %d",
+			st.Groups, st.GroupedOps, st.WALSyncs)
+	}
+
+	// Disabled linger (negative): the same 20ms-apart pair must now
+	// commit as two singleton windows with two syncs.
+	cfg2 := testServiceConfig(Fork)
+	cfg2.QueueDepth = 8
+	cfg2.BurstLinger = -1
+	cfg2.CheckpointEvery = 1 << 30
+	svc2, err := NewService(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == 1 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			if err := svc2.Write(ctx, uint64(w), chaosPayload(32, 6, uint64(w)+1)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := svc2.Stats(); st.Groups != 2 || st.WALSyncs != 2 {
+		t.Fatalf("disabled burst linger still coalesced: groups %d, syncs %d", st.Groups, st.WALSyncs)
+	}
+}
+
+// TestBurstCoalescingFewCores is the few-core regression for the
+// replaced Gosched hack: pinned to a single P, concurrent writer bursts
+// must still form multi-op windows through the default burst linger.
+func TestBurstCoalescingFewCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := testServiceConfig(Fork)
+	cfg.QueueDepth = 8
+	cfg.CheckpointEvery = 1 << 30
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	const rounds, writers = 25, 4
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := svc.Write(ctx, uint64(w), chaosPayload(32, uint64(r)+40, uint64(w)+1)); err != nil {
+					t.Error(err)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	st := svc.Stats()
+	if st.Groups == st.Writes {
+		t.Fatal("single-P bursts never coalesced: every window was a singleton")
+	}
+	if st.WALSyncs >= st.Writes {
+		t.Fatalf("%d syncs for %d writes on one P: coalescing regressed", st.WALSyncs, st.Writes)
 	}
 }

@@ -528,7 +528,7 @@ func (d *Device) Scrub() error {
 }
 
 func (d *Device) scrub() error {
-	// Close any cross-window session first: the raw-medium walk below
+	// Close any open pipelined session first: the raw-medium walk below
 	// must not race in-flight writeback frames. A teardown failure
 	// poisons (lost evicted blocks) but does not stop the audit — a
 	// poisoned device can be scrubbed.

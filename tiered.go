@@ -133,8 +133,8 @@ func (d *Device) ScrubSlice(frames int) (storage.ScrubStats, error) {
 	if d.poisoned != nil {
 		return storage.ScrubStats{}, d.poisoned
 	}
-	// The audit reads raw medium frames; close any cross-window session
-	// so no writeback is racing the walker.
+	// The audit reads raw medium frames; close any open pipelined
+	// session so no writeback is racing the walker.
 	if err := d.endSession(); err != nil {
 		d.poison(err)
 		return storage.ScrubStats{}, d.poisoned
