@@ -45,10 +45,13 @@ scrub:
 	$(GO) run ./cmd/forksim -scrub -seed 9
 
 # Coverage-guided fuzzing of the Device against a map oracle, with and
-# without fault injection (see FuzzDeviceOps in fuzz_test.go).
+# without fault injection (see FuzzDeviceOps and FuzzDeviceBatchOps in
+# fuzz_test.go).
 fuzz:
 	$(GO) test -fuzz FuzzDeviceOps -fuzztime 60s .
+	$(GO) test -fuzz FuzzDeviceBatchOps -fuzztime 60s .
 
 # Short fuzz pass for CI.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDeviceOps -fuzztime 30s .
+	$(GO) test -fuzz FuzzDeviceBatchOps -fuzztime 30s .

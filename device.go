@@ -94,9 +94,11 @@ type DeviceConfig struct {
 	StashCapacity int
 	// QueueSize is the Fork variant's label queue size (default 8).
 	// Large queues pay off under Batch or pipelined use, where many real
-	// requests pend; a synchronous caller issuing one blocking operation
-	// at a time waits O(QueueSize) accesses for its request to win the
-	// overlap competition against queue dummies, so keep it small there.
+	// requests pend. A lone synchronous request does not compete with
+	// the queue: it replaces the pending dummy of the previous
+	// operation's held access (see Device). Only the second and later
+	// requests of one operation still compete with queue dummies on
+	// overlap, for O(QueueSize) accesses at worst.
 	QueueSize int
 	// Key is the 16-byte AES key sealing buckets. Nil derives an
 	// all-zero key (fine for experiments; supply your own otherwise).
@@ -134,10 +136,10 @@ type DeviceConfig struct {
 	// writebacks run on PipelineDepth workers each, with dependency
 	// tracking keeping every dependent pair in program order and
 	// PipelineDepth-1 refills queued behind the writes in flight. The
-	// pipelined session stays open across Batches, so a Batch's fetches
-	// overlap the previous Batch's still-in-flight writebacks; any serial
-	// operation (single Read/Write, Snapshot, scrub) drains and closes it
-	// first. Depth <= 1 (the default) is the serial engine. Results,
+	// pipelined session lives inside one Batch: it closes before the
+	// access that serves the Batch's last request, which runs serially
+	// and is held open like every operation's last access (see Device).
+	// Depth <= 1 (the default) is the serial engine. Results,
 	// snapshots, and the public access sequence are identical at every
 	// depth — the schedule is deterministic and the pipeline only moves
 	// already-public traffic in time. Process-local tuning: not
@@ -164,6 +166,11 @@ type DeviceConfig struct {
 	// sees exactly what the bus sees, and a stash hit is invisible on
 	// the bus by construction. DeviceStats.RealAccesses counts only
 	// tree traversals for the same reason.
+	//
+	// A traversal is reported once its refill completes. Under the Fork
+	// variant the one that served a call's last request is held (see
+	// Device), so it is reported during the next call, or by Stats,
+	// Snapshot, Scrub or ScrubSlice.
 	Observer func(label uint64, dummy bool, readBuckets, writeBuckets []uint64)
 }
 
@@ -235,6 +242,15 @@ type DeviceStats struct {
 // instead of silently corrupting stash or position-map state. Wrap a
 // Device in a Service for a goroutine-safe, self-healing front door, or
 // in your own mutex if you only need serialization.
+//
+// Under the Fork variant an operation returns with its last access held
+// open: the access has read its path and served its request, but its
+// refill waits. The next operation admits its requests first, so its
+// first request replaces the held access's pending dummy (the paper's
+// dummy-request replacing, §3.3) and the refill stops at the fork point
+// the two paths share; a lone request then costs about one traversal.
+// Stats, Snapshot, Scrub and ScrubSlice complete the held refill, with
+// its pending dummy, before anything else.
 type Device struct {
 	cfg      DeviceConfig
 	tr       tree.Tree
@@ -271,11 +287,15 @@ type Device struct {
 	// with it (crash-chaos hook modelling a shard dying mid-serve).
 	midServeKill func() error
 
-	// sessionOpen marks an open pipelined session: stage workers stay
-	// armed between Batches, with the previous window's writebacks
-	// possibly still in flight. Serial paths call endSession before
-	// touching the controller directly.
+	// sessionOpen marks an open pipelined session. It never outlives
+	// the Batch that opened it.
 	sessionOpen bool
+
+	// held is the Fork access that served the previous operation's last
+	// request: begun but not refilled, so its pending dummy stays
+	// replaceable (see the Device doc). Nil when no access is held; a
+	// poisoned device drops it.
+	held *fork.Access
 
 	// busy is the cheap concurrent-misuse guard: CAS-acquired by every
 	// public operation, so a second goroutine entering mid-operation gets
@@ -284,11 +304,9 @@ type Device struct {
 }
 
 // endSession closes the pipelined session: drain the in-flight
-// writebacks, join the stage workers, and surface any
-// latched error. Every serial-path entry (single operations,
-// snapshots, scrubs) funnels through here before touching controller
-// state directly; a non-nil return means evicted blocks were lost and
-// the caller must poison.
+// writebacks, join the stage workers, and surface any latched error. A
+// non-nil return means evicted blocks were lost and the caller must
+// poison.
 func (d *Device) endSession() error {
 	if !d.sessionOpen {
 		return nil
@@ -499,6 +517,7 @@ func (d *Device) poison(cause error) {
 	if d.poisoned == nil {
 		d.poisoned = &PoisonedError{Cause: cause}
 	}
+	d.held = nil
 }
 
 // checkAddr validates an address before any state is touched, so
@@ -526,10 +545,6 @@ func (d *Device) read(addr uint64) ([]byte, error) {
 	}
 	if err := d.checkAddr(addr); err != nil {
 		return nil, err
-	}
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-		return nil, d.poisoned
 	}
 	d.reads++
 	out, err := d.access(pathoram.OpRead, addr, nil)
@@ -559,10 +574,6 @@ func (d *Device) write(addr uint64, data []byte) error {
 	if len(data) != d.cfg.BlockSize {
 		return fmt.Errorf("forkoram: payload %d bytes, want %d", len(data), d.cfg.BlockSize)
 	}
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-		return d.poisoned
-	}
 	d.writes++
 	_, err := d.access(pathoram.OpWrite, addr, data)
 	if err != nil {
@@ -584,10 +595,10 @@ func (d *Device) access(op pathoram.Op, addr uint64, data []byte) ([]byte, error
 	return d.forkAccess(op, addr, data)
 }
 
-// runEngine executes one Fork access, reporting it to the observer.
-func (d *Device) runEngine() error {
-	a, err := d.eng.Run()
-	if err != nil {
+// refill runs a begun Fork access's write phase down to its fork point
+// with the pending entry, finishes it, and reports it to the Observer.
+func (d *Device) refill(a *fork.Access) error {
+	if err := d.eng.Complete(a); err != nil {
 		return err
 	}
 	if d.cfg.Observer != nil {
@@ -596,13 +607,55 @@ func (d *Device) runEngine() error {
 	return nil
 }
 
+// release completes the held access, if any. Operations call it after
+// admitting their requests, so the refill stops at the fork point shared
+// with the request that replaced its pending dummy; Stats, Snapshot and
+// the scrubs call it first, completing the refill with the dummy. An
+// error left the device half-applied: the caller poisons.
+func (d *Device) release() error {
+	a := d.held
+	if a == nil {
+		return nil
+	}
+	d.held = nil
+	return d.refill(a)
+}
+
+// drive runs serial Fork accesses, calling admit after each, until done
+// reports true. The access whose Begin made done true served the
+// operation's last request; it is held instead of refilled (see the
+// Device doc). More than limit accesses is an engine bug.
+func (d *Device) drive(done func() bool, admit func(), limit int) error {
+	for i := 0; !done(); i++ {
+		if i == limit {
+			return fmt.Errorf("forkoram: operation not served after %d accesses (engine bug)", limit)
+		}
+		a, err := d.eng.Begin()
+		if err != nil {
+			return err
+		}
+		if done() {
+			d.held = a
+			return nil
+		}
+		if err := d.refill(a); err != nil {
+			return err
+		}
+		admit()
+	}
+	return nil
+}
+
 // forkAccess runs one operation through the Fork engine: enqueue the
-// request, then run engine accesses until it is served.
+// request, release the held access, then run engine accesses until the
+// request is served.
 func (d *Device) forkAccess(op pathoram.Op, addr uint64, data []byte) ([]byte, error) {
 	// Step-1 stash shortcut, valid because the synchronous API guarantees
-	// no concurrent in-flight request for the address unless queued. A
-	// stash hit causes no memory traffic and is therefore not reported
-	// to the Observer (see the DeviceConfig.Observer contract).
+	// no unserved request for the address unless queued. The held
+	// access's request is served: its block stays in the stash until the
+	// refill, so a repeat of that address is a hit. A stash hit causes no
+	// memory traffic and is therefore not reported to the Observer (see
+	// the DeviceConfig.Observer contract).
 	//
 	// The block is still remapped, like the baseline's Step 1: serving it
 	// under its old label would let a stash-hit write produce a modified
@@ -610,7 +663,7 @@ func (d *Device) forkAccess(op pathoram.Op, addr uint64, data []byte) ([]byte, e
 	// same-label copies with different payloads on one path, which a
 	// crash-restored engine (reading full paths again) could resolve the
 	// wrong way.
-	if !d.eng.HasAddr(addr) {
+	if d.held != nil && d.held.Item.Addr == addr || !d.eng.HasAddr(addr) {
 		if _, ok := d.ctl.Stash().Get(addr); ok {
 			_, _, next := d.pos.Remap(addr)
 			return d.ctl.FetchBlock(op, addr, next, data)
@@ -629,16 +682,14 @@ func (d *Device) forkAccess(op pathoram.Op, addr uint64, data []byte) ([]byte, e
 	if !d.eng.Enqueue(it) {
 		return nil, fmt.Errorf("forkoram: label queue rejected request (full of reals)")
 	}
-	// The engine serves by overlap order; with a synchronous caller the
-	// item is served within at most QueueSize accesses (aging guards the
-	// pathological case).
-	for i := 0; i < 32*d.cfg.QueueSize && !served; i++ {
-		if err := d.runEngine(); err != nil {
-			return nil, err
-		}
+	if err := d.release(); err != nil {
+		return nil, err
 	}
-	if !served {
-		return nil, fmt.Errorf("forkoram: request starved (engine bug)")
+	// The request took the held access's pending slot, or it competes in
+	// the queue and is served within at most QueueSize accesses (aging
+	// guards the pathological case).
+	if err := d.drive(func() bool { return served }, func() {}, 32*d.cfg.QueueSize); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -697,18 +748,14 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 			i := next
 			op := ops[i]
 			old, _, nl := d.pos.Remap(op.Addr)
-			d.nextID++
 			pop := pathoram.OpRead
 			if op.Write {
 				pop = pathoram.OpWrite
-				d.writes++
-			} else {
-				d.reads++
 			}
 			data := op.Data
 			newLabel := nl
 			addr := op.Addr
-			it := &fork.Item{ID: d.nextID, Addr: addr, OldLabel: old, NewLabel: newLabel}
+			it := &fork.Item{ID: d.nextID + 1, Addr: addr, OldLabel: old, NewLabel: newLabel}
 			it.Serve = func() error {
 				// Pipelined session: record the stash work on the
 				// in-flight access instead of executing it here; the
@@ -731,97 +778,88 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 				return err
 			}
 			if !d.eng.Enqueue(it) {
+				// The held access's pending dummy is replaceable, but not
+				// by this address (an earlier request for it is held or
+				// queued), and the queue is full. Undo the remap, so the
+				// retry reads the path the block is on; Set cannot fail
+				// on a label the map itself drew.
+				_ = d.pos.Set(addr, old)
 				break
+			}
+			d.nextID++
+			if op.Write {
+				d.writes++
+			} else {
+				d.reads++
 			}
 			pendingCount++
 			next++
 		}
 	}
-	if len(ops) > 1 && d.cfg.PipelineDepth > 1 {
-		if !d.sessionOpen {
-			ok, err := d.ctl.StartPipelineOpts(pathoram.PipelineOpts{
-				Depth:    d.cfg.PipelineDepth,
-				Observer: d.cfg.Observer,
-				Kill:     d.midServeKill,
-			})
-			if err != nil {
-				// A malformed depth is a configuration bug caught before
-				// any state is touched — reject like validation, no poison.
-				return nil, err
-			}
-			d.sessionOpen = ok
-		}
-		if d.sessionOpen {
-			err := d.batchPipelined(ops, admit, &pendingCount, &next)
-			if err == nil {
-				// Window seam: wait for this window's accesses to retire,
-				// leave workers and in-flight writebacks armed for the
-				// next window.
-				err = d.ctl.FlushPipelineWindow()
-			}
-			if err != nil {
-				// Abort tears the whole session down (drain + join)
-				// before the poison fail-stops the device; the teardown
-				// re-reports the already-latched error.
-				_ = d.endSession()
-				d.poison(err)
-				return nil, err
-			}
-			return results, nil
-		}
-	}
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-		return nil, d.poisoned
-	}
+	// Admit, then release: the first request replaces the held access's
+	// pending dummy, so the held refill merges with it.
 	admit()
-	guard := 0
-	for pendingCount > 0 || next < len(ops) {
-		if err := d.runEngine(); err != nil {
-			d.poison(err)
-			return nil, err
-		}
-		admit()
-		if guard++; guard > 64*(len(ops)+d.cfg.QueueSize) {
-			err := fmt.Errorf("forkoram: batch failed to drain (engine bug)")
-			d.poison(err)
-			return nil, err
-		}
+	err := d.release()
+	if err == nil && len(ops) > 1 && d.cfg.PipelineDepth > 1 {
+		err = d.batchPipelined(ops, admit, &pendingCount, &next)
+	}
+	if err == nil {
+		err = d.drive(func() bool { return pendingCount == 0 && next == len(ops) },
+			admit, 64*(len(ops)+d.cfg.QueueSize))
+	}
+	if err != nil {
+		d.poison(err)
+		return nil, err
 	}
 	return results, nil
 }
 
-// batchPipelined drains one batch through the open pipelined session.
-// The drive loop is the serial loop unrolled one phase deeper — Begin,
-// the WriteStep refill, Finish — with two pipeline hooks added at the
-// stage boundaries: CommitAccess seals the finished access into the
-// stage (cross-checked against the engine's reported footprint), and
-// Prefetch (after admission, when the engine has committed its next
-// schedule entry) starts fetching the next path. The engine runs
-// serially here and serves are only recorded (DeferServe); the stage
-// executes them on its workers and fires the Observer at retire time,
-// in program order. The admission cadence — one admit() sweep after
-// every completed access — matches the serial loop exactly, so the
-// engine sees the same queue states and emits the same schedule at
-// every depth.
-func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next *int) error {
-	admit()
-	guard := 0
-	for *pendingCount > 0 || *next < len(ops) {
+// batchPipelined drains a batch through a pipelined session up to the
+// access that serves its last request, which the caller then runs
+// serially and holds: a pipelined access returns its result only once
+// committed, after its refill. The drive loop is the serial loop —
+// Begin, then Complete (the WriteStep refill and Finish) — with two
+// pipeline hooks added at the stage boundaries: CommitAccess seals the
+// finished access into the stage (cross-checked against the engine's
+// reported footprint), and Prefetch (after admission, when the engine
+// has committed its next schedule entry) starts fetching the next path.
+// The engine runs serially here and serves are only recorded
+// (DeferServe); the stage executes them on its workers and fires the
+// Observer at retire time, in program order. The admission cadence —
+// one admit() sweep after every completed access — matches the serial
+// loop exactly, so the engine sees the same queue states and emits the
+// same schedule at every depth. The session is closed on return, on
+// every path.
+func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next *int) (err error) {
+	ok, err := d.ctl.StartPipelineOpts(pathoram.PipelineOpts{
+		Depth:    d.cfg.PipelineDepth,
+		Observer: d.cfg.Observer,
+		Kill:     d.midServeKill,
+	})
+	if err != nil || !ok {
+		return err
+	}
+	d.sessionOpen = true
+	defer func() {
+		if serr := d.endSession(); err == nil {
+			err = serr
+		}
+	}()
+	// more reports whether the next Begin does not serve the batch's last
+	// request: requests remain to admit, or besides the committed pending
+	// entry one is outstanding.
+	more := func() bool {
+		return *next < len(ops) || *pendingCount > 1 || *pendingCount == 1 && !d.eng.PendingReal()
+	}
+	for guard := 0; more(); guard++ {
+		if guard > 64*(len(ops)+d.cfg.QueueSize) {
+			return fmt.Errorf("forkoram: batch failed to drain (engine bug)")
+		}
 		a, err := d.eng.Begin()
 		if err != nil {
 			return err
 		}
-		for {
-			_, _, done, err := d.eng.WriteStep(a)
-			if err != nil {
-				return err
-			}
-			if done {
-				break
-			}
-		}
-		if err := d.eng.Finish(a); err != nil {
+		if err := d.eng.Complete(a); err != nil {
 			return err
 		}
 		deps := d.eng.LastDeps()
@@ -838,13 +876,10 @@ func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next 
 		if d.midBatchKill != nil && d.midBatchKill() {
 			return errKilled
 		}
-		if *pendingCount > 0 || *next < len(ops) {
+		if more() {
 			if label, from, ok := d.eng.NextScheduled(); ok && from <= d.tr.LeafLevel() {
 				d.ctl.Prefetch(label, from)
 			}
-		}
-		if guard++; guard > 64*(len(ops)+d.cfg.QueueSize) {
-			return fmt.Errorf("forkoram: batch failed to drain (engine bug)")
 		}
 	}
 	return nil
@@ -872,7 +907,18 @@ func (d *Device) FaultCounts() (c faults.Counts, ok bool) {
 // Stats returns cumulative device statistics. Reads and Writes count
 // only admitted operations: requests rejected by validation (address out
 // of range, wrong payload size) or by a poisoned device do not appear.
+//
+// Stats first completes the held Fork refill, with its pending dummy, so
+// every traversal it counts has also reached the Observer. Calling it
+// between operations therefore costs the next request its merge with
+// the previous access.
 func (d *Device) Stats() DeviceStats {
+	if d.enter() == nil {
+		if err := d.release(); err != nil {
+			d.poison(err)
+		}
+		d.leave()
+	}
 	st := DeviceStats{
 		Reads:      d.reads,
 		Writes:     d.writes,

@@ -262,16 +262,16 @@ func (e *Engine) Enqueue(it *Item) bool {
 			// Real pending: swap only if the incoming request overlaps the
 			// current path strictly more, and a dummy slot exists for the
 			// displaced pending. The displaced request re-enters the queue
-			// in the discarded dummy's slot (reused in place) with a fresh
-			// sequence number.
+			// in the discarded dummy's slot (reused in place) keeping its
+			// sequence number, so a same-key request queued after it stays
+			// younger (per-address program order); the incoming request
+			// takes a fresh one.
 			if e.tr.Overlap(e.current.Label, it.OldLabel) > e.tr.Overlap(e.current.Label, e.pending.label) {
 				if di := e.firstDummy(); di >= 0 {
 					d := e.queue[di]
+					*d = *e.pending
 					e.seq++
-					d.label, d.item, d.age, d.seq = e.pending.label, e.pending.item, e.pending.age, e.seq
-					e.pending.label = it.OldLabel
-					e.pending.item = it
-					e.pending.age = 0
+					e.pending.label, e.pending.item, e.pending.age, e.pending.seq = it.OldLabel, it, 0, e.seq
 					return true
 				}
 			}
@@ -599,19 +599,25 @@ func (e *Engine) Run() (*Access, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := e.Complete(a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Complete runs a begun access's write phase down to its fork point with
+// the pending entry (WriteStep until done), then finishes it.
+func (e *Engine) Complete(a *Access) error {
 	for {
 		_, _, done, err := e.WriteStep(a)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if done {
 			break
 		}
 	}
-	if err := e.Finish(a); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return e.Finish(a)
 }
 
 // Stats reports issue counts and scheduler diagnostics.

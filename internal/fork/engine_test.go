@@ -2,6 +2,7 @@ package fork
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"forkoram/internal/block"
@@ -316,6 +317,72 @@ func TestPerAddressOrdering(t *testing.T) {
 	v.drain()
 	if got := v.outs[final.ID]; !bytes.Equal(got, pay(3)) {
 		t.Fatalf("final read %x want %x", got, pay(3))
+	}
+}
+
+// TestSwapKeepsPerAddressOrder admits requests while an access is in
+// flight: A replaces the pending dummy, B (A's address) queues behind
+// it, and C (on the in-flight access's own leaf) swaps A back into the
+// queue. A must keep its sequence number, or B would become the older
+// request for the address and be served first.
+func TestSwapKeepsPerAddressOrder(t *testing.T) {
+	v := newEnv(t, 6, defaultCfg(8))
+	a, err := v.eng.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Dummy() || v.eng.PendingReal() {
+		t.Fatal("setup: want a dummy access with a dummy pending")
+	}
+	var order []uint64
+	logged := func(it *Item) *Item {
+		serve := it.Serve
+		it.Serve = func() error {
+			order = append(order, it.ID)
+			return serve()
+		}
+		return it
+	}
+	// A sits off the current leaf (overlap L); C sits on it (overlap L+1).
+	if err := v.pos.Set(7, a.Label^1); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.pos.Set(9, a.Label); err != nil {
+		t.Fatal(err)
+	}
+	itA := logged(v.item(pathoram.OpWrite, 7, pay(1)))
+	v.enqueue(itA)
+	if v.eng.pending.item != itA {
+		t.Fatal("A did not replace the pending dummy")
+	}
+	itB := logged(v.item(pathoram.OpWrite, 7, pay(2)))
+	v.enqueue(itB)
+	itC := logged(v.item(pathoram.OpWrite, 9, pay(3)))
+	v.enqueue(itC)
+	if v.eng.pending.item != itC {
+		t.Fatal("C did not swap with the pending A")
+	}
+	for {
+		_, _, done, err := v.eng.WriteStep(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+	}
+	if err := v.eng.Finish(a); err != nil {
+		t.Fatal(err)
+	}
+	v.drain()
+	if want := []uint64{itC.ID, itA.ID, itB.ID}; !slices.Equal(order, want) {
+		t.Fatalf("serve order %v, want C, A, B = %v", order, want)
+	}
+	final := v.item(pathoram.OpRead, 7, nil)
+	v.enqueue(final)
+	v.drain()
+	if got := v.outs[final.ID]; !bytes.Equal(got, pay(2)) {
+		t.Fatalf("address 7 reads %x, want the later write %x", got, pay(2))
 	}
 }
 

@@ -97,10 +97,8 @@ type cserve struct {
 
 	wg sync.WaitGroup
 
-	stats   PipelineStats // sequencer-owned counters
-	shared  PipelineStats // worker-side counters, under mu
-	folded  PipelineStats // totals already folded into the controller at a seam
-	flushes int           // completed flushWindow seams this session
+	stats  PipelineStats // sequencer-owned counters
+	shared PipelineStats // worker-side counters, under mu
 
 	fetchStalled bool // resolution head is waiting on its own fetch
 	fetchStallT  time.Time
@@ -753,35 +751,6 @@ func (cs *cserve) wbDispatcher() {
 		}(job, failed)
 	}
 	cs.wbWg.Wait()
-}
-
-// flushWindow is the window seam barrier: wait until every
-// sealed task of the closing window has retired — all results are
-// complete and every EndAccess/Observer emission fired in program
-// order — then fold the window's counter delta. Workers, the seq
-// clock, the hazard map, and in-flight writebacks are left untouched,
-// so the next window's fetches overlap the closing window's tail and
-// the store buffer orders them behind its planned writes. A non-nil
-// cur means the drive loop aborted mid-access (only possible with a
-// latched error); it was never sealed, so it is dropped like stop does.
-func (cs *cserve) flushWindow() (PipelineStats, error) {
-	cs.mu.Lock()
-	if cs.cur != nil {
-		cs.taskFree = append(cs.taskFree, cs.cur)
-		cs.cur = nil
-	}
-	for len(cs.tasks) > 0 {
-		cs.cond.Wait()
-	}
-	total := cs.stats
-	total.Add(cs.shared)
-	err := cs.err
-	cs.mu.Unlock()
-	delta := total.Delta(cs.folded)
-	cs.folded = total
-	cs.flushes++
-	delta.Windows = 1
-	return delta, err
 }
 
 // stop drains the window and joins every worker. A non-nil cur means

@@ -98,9 +98,9 @@ type Controller struct {
 	cs        *cserve
 	pipeStats PipelineStats
 	// seamStart is the wall-clock instant the last pipelined window
-	// completed (FlushPipelineWindow or StopPipeline); the next window's
-	// first fetch issue consumes it into WindowTurnaround* (see
-	// noteFirstFetch). Zero when no seam is pending.
+	// completed (StopPipeline); the next window's first fetch issue
+	// consumes it into WindowTurnaround* (see noteFirstFetch). Zero when
+	// no seam is pending.
 	seamStart time.Time
 
 	retryStats RetryStats

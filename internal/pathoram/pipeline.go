@@ -45,7 +45,7 @@ import (
 var ErrPipelineDepth = errors.New("pathoram: pipeline depth must be >= 1")
 
 // PipelineStats counts pipelined work and per-stage stalls. Counters
-// accumulate across dispatch windows (folded in at each window seam).
+// accumulate across dispatch windows (folded in as each session stops).
 type PipelineStats struct {
 	// Windows is the number of pipelined dispatch windows run.
 	Windows uint64 `json:"windows"`
@@ -79,10 +79,13 @@ type PipelineStats struct {
 	DepWaits  uint64 `json:"dep_waits,omitempty"`
 	DepWaitNs uint64 `json:"dep_wait_ns,omitempty"`
 	// WindowTurnarounds/WindowTurnaroundNs: inter-window stalls — the
-	// gap between one pipelined window's completion (last retire) and
-	// the next window's first fetch issue. Under a Service this spans
-	// the whole group-commit turnaround (gather, journal append, fsync).
-	// Only meaningful under saturation: with idle clients the gap
+	// gap between one pipelined window's completion (its StopPipeline:
+	// last retire, writebacks landed, workers joined) and the next
+	// window's first fetch issue. It spans the window's serial last
+	// access and the next window's serial refill of it (the held
+	// access, DESIGN.md §16), and under a Service the whole
+	// group-commit turnaround (gather, journal append, fsync). Only
+	// meaningful under saturation: with idle clients the gap
 	// includes think time.
 	WindowTurnarounds  uint64 `json:"window_turnarounds,omitempty"`
 	WindowTurnaroundNs uint64 `json:"window_turnaround_ns,omitempty"`
@@ -168,13 +171,10 @@ func (c *Controller) StartPipelineOpts(o PipelineOpts) (bool, error) {
 }
 
 // StopPipeline drains the in-flight accesses and writebacks, joins the
-// stage workers, folds the session's unfolded statistics, and returns
-// the first error any stage latched (also latching it as the
+// stage workers, folds the session's statistics as one window, and
+// returns the first error any stage latched (also latching it as the
 // controller's fatal error: a failed writeback lost evicted blocks, so
-// the controller must fail-stop exactly like a serial write failure). A
-// session closed without any FlushPipelineWindow counts one window; a
-// session with seams already counted each window there, and an aborted
-// partial window is deliberately not counted.
+// the controller must fail-stop exactly like a serial write failure).
 func (c *Controller) StopPipeline() error {
 	if c.cs == nil {
 		return c.err
@@ -182,32 +182,9 @@ func (c *Controller) StopPipeline() error {
 	cs := c.cs
 	c.cs = nil
 	err := cs.stop()
-	total := cs.stats
-	total.Add(cs.shared)
-	delta := total.Delta(cs.folded)
-	if cs.flushes == 0 {
-		delta.Windows = 1
-	}
-	c.pipeStats.Add(delta)
-	c.seamStart = time.Now()
-	if err != nil && c.err == nil {
-		c.err = err
-	}
-	return c.err
-}
-
-// FlushPipelineWindow ends one dispatch window of a pipelined session
-// without tearing the stage workers down. On return every access of
-// the closing window has produced its result and retired in program
-// order — but its writebacks may still be in flight; the store-buffer
-// hazard set orders the next window's fetches behind them. Counters of
-// the closing window are folded so PipelineStats observes per-window
-// deltas. No-op outside a pipelined session.
-func (c *Controller) FlushPipelineWindow() error {
-	if c.cs == nil {
-		return c.err
-	}
-	delta, err := c.cs.flushWindow()
+	delta := cs.stats
+	delta.Add(cs.shared)
+	delta.Windows = 1
 	c.pipeStats.Add(delta)
 	c.seamStart = time.Now()
 	if err != nil && c.err == nil {
@@ -217,7 +194,7 @@ func (c *Controller) FlushPipelineWindow() error {
 }
 
 // noteFirstFetch records the window-turnaround stall: the gap between
-// the previous window's completion (seam or stop) and this window's
+// the previous window's completion (its StopPipeline) and this window's
 // first fetch issue. Sequencer goroutine only, like pipeStats itself.
 func (c *Controller) noteFirstFetch() {
 	if c.seamStart.IsZero() {

@@ -165,12 +165,9 @@ func TestPipelineOverlapsRoundTrips(t *testing.T) {
 						ops[i].Write, ops[i].Data = true, chaosPayload(32, 9, uint64(i)+1)
 					}
 				}
+				// Batch closes its session before it returns, so every
+				// round trip is counted.
 				if _, err := dev.Batch(ops); err != nil {
-					t.Fatal(err)
-				}
-				// Drain the writebacks the Batch left in flight and join
-				// the stage, so every round trip is counted.
-				if err := dev.endSession(); err != nil {
 					t.Fatal(err)
 				}
 				maxFlight, _, _, expired := gate.counts()
@@ -194,8 +191,7 @@ func TestPipelineOverlapsRoundTrips(t *testing.T) {
 // The journal Sync that commits a window is issued between windows:
 // at depth 1, where no writeback outlives its Batch, none of two
 // consecutive writes' Syncs overlaps a device round trip. At depth 4
-// the device session stays open across windows, and every pipelined
-// window after the first counts a seam turnaround.
+// every pipelined window after the first counts a seam turnaround.
 func TestWindowSeamSyncsAndTurnarounds(t *testing.T) {
 	for _, procs := range []int{0, 1} {
 		for _, depth := range []int{1, 4} {

@@ -80,12 +80,12 @@ func pipelineBatches(blocks uint64, blockSize int) [][]BatchOp {
 }
 
 // TestPipelineDepthTraceEquivalence is the pipeline's security and
-// correctness pin: a Fork device at PipelineDepth 2, 3, 4 and 8 — its
-// session persisting across the Batches — must produce the exact public
-// access sequence of the serial device (depth 1), identical batch
-// results, identical bucket-traffic counters, an identical post-run
-// Snapshot, and a logically identical medium. The pipeline may only
-// move work in time.
+// correctness pin: a Fork device at PipelineDepth 2, 3, 4 and 8 — one
+// session per Batch, whose last access runs serially and is held into
+// the next Batch — must produce the exact public access sequence of the
+// serial device (depth 1), identical batch results, identical
+// bucket-traffic counters, an identical post-run Snapshot, and a
+// logically identical medium. The pipeline may only move work in time.
 func TestPipelineDepthTraceEquivalence(t *testing.T) {
 	const blocks, blockSize = 96, 48
 	run := func(depth int) (*obsTrace, [][][]byte, *Device, []byte) {
@@ -185,8 +185,8 @@ func TestPipelineDepthTraceEquivalence(t *testing.T) {
 // into group-commit windows — then verifies every acknowledged write
 // against an oracle. Run under -race this is the pipeline's concurrency
 // stress test at its shallowest depth (two accesses in flight, one
-// refill queued): admission and singleton session teardown racing the
-// stage workers.
+// refill queued): admission and each window's session teardown racing
+// the stage workers.
 func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 2) }
 
 // TestConcurrentServeServiceStress is the same oracle stress with a
@@ -386,10 +386,10 @@ func TestPipelineStallAccounting(t *testing.T) {
 }
 
 // TestKilledServiceClosesSession: a crash-injected death right after a
-// pipelined window leaves the device session open with its stage
-// goroutines parked. The run loop's exit must join it, so Close on the
-// dead incarnation returns with no stage left to write into a medium
-// its successor restores.
+// pipelined window must leave no stage goroutine behind, so Close on
+// the dead incarnation returns with no stage left to write into a
+// medium its successor restores. Device.Batch closes its session before
+// it returns, including on the kill path.
 func TestKilledServiceClosesSession(t *testing.T) {
 	cfg := testServiceConfig(Fork)
 	cfg.Device.PipelineDepth = 4

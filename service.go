@@ -865,7 +865,6 @@ func (s *Service) deadErr() error {
 // instead of paying one sync per operation.
 func (s *Service) run() {
 	defer close(s.done)
-	defer s.closeSession()
 	for {
 		select {
 		case req := <-s.q:
@@ -894,14 +893,6 @@ func (s *Service) run() {
 		}
 	}
 }
-
-// closeSession joins the device's pipelined session when the run loop
-// exits. A clean Close already closed it at the final checkpoint; a
-// crash-injected death can leave it open after a window, and a dead
-// incarnation must keep no stage goroutines. Close returns only after
-// this ran, so a caller that Closes a dead incarnation before reopening
-// its stores knows no old writeback can still land on a shared medium.
-func (s *Service) closeSession() { _ = s.dev.endSession() }
 
 // dispatch coalesces first with whatever else the queue holds and serves
 // the window. A window of one goes down the exact singleton path (same

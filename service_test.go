@@ -546,7 +546,7 @@ func TestCloseVsCommitRace(t *testing.T) {
 	// are both violations. Each writer owns one address and writes
 	// strictly increasing versions, so "last acked payload" is exact.
 	// Odd rounds run the pipelined engine at depth 4, so Close also
-	// drains a device session left open across windows.
+	// races pipelined windows.
 	rounds := 40
 	if testing.Short() {
 		rounds = 8
@@ -653,10 +653,9 @@ func TestCloseVsCommitRace(t *testing.T) {
 }
 
 // TestCrossWindowCloseMidSeam closes a PipelineDepth-4 Service while a
-// burst of writers keeps its device session open across window seams.
-// Close must drain the session cleanly, and every acknowledged write
-// must be present after a reopen from the same journal and checkpoint
-// stores.
+// burst of writers keeps it running pipelined windows back to back.
+// Close must end cleanly, and every acknowledged write must be present
+// after a reopen from the same journal and checkpoint stores.
 func TestCrossWindowCloseMidSeam(t *testing.T) {
 	walStore := wal.NewMemStore()
 	ckpts := NewMemCheckpointStore()

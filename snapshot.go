@@ -23,9 +23,9 @@ import (
 // relabeling argument — fresh uniform labels are fresh uniform labels
 // regardless of which stream they come from).
 //
-// Snapshots are taken at quiescence (Device.Snapshot drains the Fork
-// engine first), so the Path ORAM invariant — every mapped block is in
-// the stash or on its mapped path — holds at capture time and again
+// Snapshots are taken at quiescence (Device.Snapshot completes the held
+// Fork refill first), so the Path ORAM invariant — every mapped block is
+// in the stash or on its mapped path — holds at capture time and again
 // immediately after restore.
 type Snapshot struct {
 	cfg    DeviceConfig
@@ -49,10 +49,10 @@ type posEntry struct {
 }
 
 // Snapshot captures the device's client state for crash recovery. The
-// Fork engine is drained first (queued real requests are served, which
-// issues memory accesses), so the snapshot is taken at quiescence. A
-// poisoned or otherwise failed device cannot be snapshotted: its state is
-// half-applied by definition.
+// held Fork access is completed first (its refill runs with its pending
+// dummy, which writes to memory), so the snapshot is taken at
+// quiescence. A poisoned or otherwise failed device cannot be
+// snapshotted: its state is half-applied by definition.
 //
 // The snapshot shares the untrusted medium with the device; it captures
 // no copy of the stored ciphertexts. RestoreDevice therefore models the
@@ -74,14 +74,15 @@ func (d *Device) snapshot() (*Snapshot, error) {
 	if err := d.ctl.Err(); err != nil {
 		return nil, fmt.Errorf("forkoram: snapshot of failed device: %w", err)
 	}
-	// An open pipelined session may still have writebacks in flight;
-	// quiescence requires the full drain + join before the medium walk
-	// below.
-	if err := d.endSession(); err != nil {
+	if err := d.release(); err != nil {
 		d.poison(err)
 		return nil, d.poisoned
 	}
-	if err := d.drain(); err != nil {
+	// Every operation serves all of its requests before it returns, so
+	// none can be left in the engine.
+	if d.eng != nil && (d.eng.RealQueued() > 0 || d.eng.PendingReal()) {
+		err := fmt.Errorf("forkoram: snapshot found a real request still queued (engine bug)")
+		d.poison(err)
 		return nil, err
 	}
 	if err := d.compactMedium(); err != nil {
@@ -115,27 +116,6 @@ func (d *Device) snapshot() (*Snapshot, error) {
 		s.stash = append(s.stash, b)
 	})
 	return s, nil
-}
-
-// drain runs the Fork engine until no real request is queued or pending,
-// so the device reaches quiescence. No-op for the Baseline variant (the
-// synchronous API never leaves requests in flight).
-func (d *Device) drain() error {
-	if d.eng == nil {
-		return nil
-	}
-	for i := 0; d.eng.RealQueued() > 0 || d.eng.PendingReal(); i++ {
-		if i > 64*d.cfg.QueueSize {
-			err := fmt.Errorf("forkoram: drain failed to quiesce (engine bug)")
-			d.poison(err)
-			return err
-		}
-		if err := d.runEngine(); err != nil {
-			d.poison(err)
-			return err
-		}
-	}
-	return nil
 }
 
 // compactMedium rewrites every bucket holding a stale block copy, so
@@ -528,11 +508,10 @@ func (d *Device) Scrub() error {
 }
 
 func (d *Device) scrub() error {
-	// Close any open pipelined session first: the raw-medium walk below
-	// must not race in-flight writeback frames. A teardown failure
-	// poisons (lost evicted blocks) but does not stop the audit — a
+	// Complete the held refill first, so the walk audits a quiescent
+	// tree. A failed refill poisons but does not stop the audit — a
 	// poisoned device can be scrubbed.
-	if err := d.endSession(); err != nil {
+	if err := d.release(); err != nil {
 		d.poison(err)
 	}
 	if d.verifier != nil {

@@ -133,9 +133,8 @@ func (d *Device) ScrubSlice(frames int) (storage.ScrubStats, error) {
 	if d.poisoned != nil {
 		return storage.ScrubStats{}, d.poisoned
 	}
-	// The audit reads raw medium frames; close any open pipelined
-	// session so no writeback is racing the walker.
-	if err := d.endSession(); err != nil {
+	// Audit a quiescent tree: complete the held refill first.
+	if err := d.release(); err != nil {
 		d.poison(err)
 		return storage.ScrubStats{}, d.poisoned
 	}
