@@ -86,7 +86,7 @@ type Access struct {
 
 	writeLevel int  // next level to write (descending); -1 when finished
 	readFrom   uint // first level the read phase touched (L+1 = fully merged)
-	inWrite    bool // at least one WriteStep taken
+	inWrite    bool // at least one WriteStep taken, even one that wrote nothing
 	finished   bool
 }
 
@@ -209,7 +209,9 @@ func (e *Engine) CanEnqueue() bool {
 // lcaLevel, per Figure 5: the refill must not be finished (case 1) and the
 // crossing bucket of the current path and the *incoming* path must not
 // have been written yet (case 2). Before the write phase starts everything
-// is still invisible, so replacement is always allowed.
+// is still invisible, so replacement is always allowed — even when the
+// pending dummy shares the current access's whole path, so that its
+// refill would stop before writing anything.
 func (e *Engine) mayReplacePending(lcaLevel uint) bool {
 	if e.pendingRevealed {
 		return false
@@ -220,15 +222,15 @@ func (e *Engine) mayReplacePending(lcaLevel uint) bool {
 	if e.current.finished {
 		return false
 	}
+	if !e.current.inWrite {
+		return true
+	}
 	// Once the refill has reached its fork point the pending request is
 	// committed (Figure 5 case 1) even if Finish has not been called yet —
 	// and a replacement demanding *more* writes after the refill stopped
 	// is equally impossible.
 	if e.current.writeLevel < int(e.stopLevel()) {
 		return false
-	}
-	if !e.current.inWrite {
-		return true
 	}
 	// Written levels are those strictly above writeLevel... the refill
 	// proceeds leaf->root, so levels > writeLevel are done. The crossing
@@ -482,11 +484,11 @@ func (e *Engine) WriteStep(a *Access) (n tree.Node, wrote, done bool, err error)
 	if a != e.current || a.finished {
 		return 0, false, true, fmt.Errorf("fork: WriteStep on stale access")
 	}
+	a.inWrite = true
 	stop := int(e.stopLevel())
 	if a.writeLevel < stop {
 		return 0, false, true, nil
 	}
-	a.inWrite = true
 	n, err = e.ctl.WriteLevel(a.Label, uint(a.writeLevel))
 	if err != nil {
 		return 0, false, false, err
@@ -526,6 +528,24 @@ func (e *Engine) Finish(a *Access) error {
 	e.hasCurrent = false
 	e.ctl.EndAccess()
 	return nil
+}
+
+// Handle reports the fork handle the last finished access left on chip
+// (§3.2): levels [0, levels) of label's path, the prefix it shares with
+// the scheduled next access. Its refill stopped there, so every handle
+// bucket was read into the stash and has not been rewritten since: its
+// medium image holds only stale copies. Every bucket off the handle was
+// last written by a refill. levels is 0 before the first access
+// finishes and without merging. ok is false while an access is in
+// flight, which has read buckets it has not yet rewritten.
+func (e *Engine) Handle() (label tree.Label, levels uint, ok bool) {
+	if e.hasCurrent {
+		return 0, 0, false
+	}
+	if !e.havePrev {
+		return 0, 0, true
+	}
+	return e.prevLabel, uint(e.acc.writeLevel + 1), true
 }
 
 // NextScheduled reveals the next access's path — its label and the first

@@ -474,6 +474,42 @@ func TestNoReplacementAfterFinish(t *testing.T) {
 	}
 }
 
+// TestFullOverlapPendingReplaceable: a pending dummy that carries the
+// current access's own label puts the fork point below the leaf, so the
+// refill writes nothing. Until a WriteStep has run nothing is committed
+// and a real request replaces the dummy; once one has (Figure 5 case 1)
+// the pending entry is committed and the request queues.
+func TestFullOverlapPendingReplaceable(t *testing.T) {
+	for _, stepped := range []bool{false, true} {
+		v := newEnv(t, 4, Config{QueueSize: 2, AgeThreshold: 100, MergeEnabled: true, DummyReplaceEnabled: true})
+		a, err := v.eng.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.eng.pending == nil || v.eng.pending.real() {
+			t.Fatal("idle engine scheduled no pending dummy")
+		}
+		v.eng.pending.label = a.Label
+		if stepped {
+			if _, wrote, done, err := v.eng.WriteStep(a); err != nil || wrote || !done {
+				t.Fatalf("full-overlap WriteStep: wrote %v done %v err %v", wrote, done, err)
+			}
+		}
+		it := v.item(pathoram.OpRead, 7, nil)
+		v.enqueue(it)
+		if replaced := v.eng.pending.item == it; replaced == stepped {
+			t.Fatalf("after WriteStep %v: pending replaced %v", stepped, replaced)
+		}
+		if err := v.eng.Complete(a); err != nil {
+			t.Fatal(err)
+		}
+		v.drain()
+		if !bytes.Equal(v.outs[it.ID], make([]byte, 8)) {
+			t.Fatalf("after WriteStep %v: read of unwritten address 7 returned %x", stepped, v.outs[it.ID])
+		}
+	}
+}
+
 func TestMergeDisabledFullPaths(t *testing.T) {
 	v := newEnv(t, 6, Config{QueueSize: 4, AgeThreshold: 100, MergeEnabled: false})
 	for i := 0; i < 10; i++ {

@@ -154,8 +154,8 @@ func cloneCheckpoint(c *Checkpoint) *Checkpoint {
 	return cp
 }
 
-// cloneMedium copies every stored ciphertext of the device's medium —
-// the chaos harness's stand-in for a full storage backup.
+// cloneMedium copies every stored ciphertext of the device's medium:
+// the medium backup a checkpoint saves next to its snapshot.
 func cloneMedium(d *Device) map[tree.Node][]byte {
 	m := make(map[tree.Node][]byte)
 	for n := uint64(0); n < d.tr.Nodes(); n++ {

@@ -231,6 +231,9 @@ func TestShardedFailureIsolation(t *testing.T) {
 func TestShardedRestartShard(t *testing.T) {
 	const shards, blocks = 3, 24
 	cfg := shardedTestConfig(shards, blocks)
+	// The test restarts shard 2 itself: the self-heal loop would race it
+	// and could restart the shard before the ErrShardDown read below.
+	cfg.SelfHeal = SelfHealConfig{Disable: true}
 	var armed, fired atomic.Bool
 	consult := 0
 	cfg.PerShard = func(_ RoutingPolicy, shard int, sc *ServiceConfig) {

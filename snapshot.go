@@ -51,8 +51,13 @@ type posEntry struct {
 // Snapshot captures the device's client state for crash recovery. The
 // held Fork access is completed first (its refill runs with its pending
 // dummy, which writes to memory), so the snapshot is taken at
-// quiescence. A poisoned or otherwise failed device cannot be
-// snapshotted: its state is half-applied by definition.
+// quiescence. Under Fork it then writes an empty bucket to every node of
+// the fork handle, so a restored engine, which reads full paths, loads
+// no stale copy; it reads no bucket. With integrity enabled the whole
+// medium is first verified against the trusted hash tree: a mismatch
+// fails the snapshot with a wrapped ErrCorrupt and poisons the device.
+// A poisoned or otherwise failed device cannot be snapshotted: its state
+// is half-applied by definition.
 //
 // The snapshot shares the untrusted medium with the device; it captures
 // no copy of the stored ciphertexts. RestoreDevice therefore models the
@@ -86,8 +91,8 @@ func (d *Device) snapshot() (*Snapshot, error) {
 		return nil, err
 	}
 	if err := d.compactMedium(); err != nil {
-		// The walk surfaced latent medium corruption: fail-stop, like any
-		// other unrecovered storage failure.
+		// The audit surfaced latent medium corruption, or a handle write
+		// failed: fail-stop, like any other unrecovered storage failure.
 		d.poison(err)
 		return nil, d.poisoned
 	}
@@ -118,108 +123,51 @@ func (d *Device) snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// compactMedium rewrites every bucket holding a stale block copy, so
-// the medium reaches its canonical state: exactly one copy of every
-// mapped block, in the stash or on its mapped path. This matters for
-// crash recovery specifically because of Fork Path's handle: merged
-// buckets are deliberately not rewritten while held, so relabeled
-// blocks legitimately leave stale copies behind on the medium. The live
-// engine never re-reads a stale copy before its bucket is rewritten
-// (the handle chain guarantees it), but a *restored* engine starts with
-// no handle and reads full paths again — a stale copy it loads would
-// shadow the fresh one. Dropping stale copies at snapshot time closes
-// that hole; the live device is unaffected (its stash and position map
-// are untouched, and held buckets are rewritten from the stash anyway).
+// compactMedium writes an empty bucket to every node of the fork handle
+// (fork.Engine.Handle), so a restored engine, which holds no handle and
+// reads full paths again, loads no stale copy. Path merging keeps the
+// handle on chip: each handle bucket was read into the stash and not
+// rewritten since, so every copy in its medium image is stale. Every
+// other bucket was last written by a refill from the stash and holds
+// only current copies (the Path ORAM invariant). The live device is
+// unaffected: its next access skips the handle's levels and rewrites
+// them from the stash. Baseline rewrites every path it reads and holds
+// no handle.
 //
-// A block copy is stale iff its address is stash-resident (the stash is
-// always at least as fresh as the tree), its stored label disagrees
-// with the position map, or a deeper copy with the same label exists.
-// The last case is the remap-collision corner: when a block redraws the
-// label it already had, its pre-relabel copy in a held bucket carries
-// the *current* label. Held buckets are a root-side prefix of the path
-// and every eviction since the relabel landed strictly below them, so
-// among same-label duplicates the deepest copy is always the fresh one.
-// The walk is data-independent (every bucket is read in index order),
-// so snapshot maintenance reveals nothing beyond the fact that a
-// snapshot was taken.
+// Every handle node is written, empty or not, and no bucket is read: the
+// write set is the last finished access's path above its topmost written
+// node, a function of labels the bus already showed.
 func (d *Device) compactMedium() error {
-	// Audit before touching anything: the walk below reads the raw medium
-	// and rewrites buckets, which would launder a stale-replayed bucket
-	// (an old but validly sealed ciphertext) straight into the new hash
-	// tree. VerifyAll pins the whole medium to the trusted hash state
-	// first, so replay and corruption surface as typed errors here
-	// instead of silently becoming the snapshot's truth.
+	// Audit before writing: rewriting a handle node refreshes its hash
+	// path, and a checkpoint saves the medium alongside the trusted root.
+	// VerifyAll pins the whole medium to the trusted hash state first, so
+	// a replayed or corrupted bucket surfaces as a typed error here rather
+	// than in a backup whose restore would reject it.
 	if d.verifier != nil {
 		if err := d.verifier.VerifyAll(); err != nil {
 			return err
 		}
 	}
-	st := d.ctl.Stash()
-	// current reports whether b is a live copy: not shadowed by the stash
-	// and labelled as the position map expects.
-	current := func(b block.Block) bool {
-		if _, inStash := st.Get(b.Addr); inStash {
-			return false
-		}
-		label, ok := d.pos.Lookup(b.Addr)
-		return ok && label == b.Label
+	if d.eng == nil {
+		return nil
 	}
-	// Pass 1: per address, the deepest level holding a current-label copy.
-	// Same-label duplicates sit on one path, so per level there is at most
-	// one, and only the deepest is fresh.
-	deepest := make(map[uint64]uint)
-	for n := uint64(0); n < d.tr.Nodes(); n++ {
-		bk, err := d.store.ReadBucket(n)
-		if err != nil {
+	label, levels, ok := d.eng.Handle()
+	if !ok {
+		return fmt.Errorf("forkoram: compaction found an access in flight (engine bug)")
+	}
+	for lvl := uint(0); lvl < levels; lvl++ {
+		n := d.tr.NodeAt(label, lvl)
+		if err := d.store.WriteBucket(n, &block.Bucket{}); err != nil {
 			return fmt.Errorf("forkoram: compact bucket %d: %w", n, err)
 		}
-		for _, b := range bk.Blocks {
-			if !current(b) {
-				continue
-			}
-			if lvl := d.tr.Level(n); lvl >= deepest[b.Addr] {
-				deepest[b.Addr] = lvl
-			}
-		}
-	}
-	// Pass 2: rewrite every bucket holding anything but the one fresh copy.
-	var keep []block.Block
-	changed := false
-	for n := uint64(0); n < d.tr.Nodes(); n++ {
-		bk, err := d.store.ReadBucket(n)
-		if err != nil {
-			return fmt.Errorf("forkoram: compact bucket %d: %w", n, err)
-		}
-		keep = keep[:0]
-		dirty := false
-		for _, b := range bk.Blocks {
-			if !current(b) || d.tr.Level(n) != deepest[b.Addr] {
-				dirty = true
-				continue
-			}
-			// The bucket view aliases the backend's scratch buffer, which
-			// WriteBucket below will reuse: copy the payload out.
-			b.Data = append([]byte(nil), b.Data...)
-			keep = append(keep, b)
-		}
-		if !dirty {
-			continue
-		}
-		wb := block.Bucket{Blocks: keep}
-		if err := d.store.WriteBucket(n, &wb); err != nil {
-			return fmt.Errorf("forkoram: compact bucket %d: %w", n, err)
-		}
-		changed = true
-	}
-	if changed {
 		if d.verifier != nil {
-			d.verifier.Rebuild()
+			d.verifier.Refresh(n)
 		}
-		// The walk wrote the base medium directly, so any write-through
-		// RAM tier copies are stale now; drop them and let reads refill.
-		if d.tier != nil {
-			d.tier.Invalidate()
-		}
+	}
+	// The writes bypassed any write-through RAM tier, whose copies of the
+	// handle are stale now; drop them and let reads refill.
+	if levels > 0 && d.tier != nil {
+		d.tier.Invalidate()
 	}
 	return nil
 }
@@ -487,13 +435,17 @@ func UnmarshalSnapshot(data []byte, from *Device) (*Snapshot, error) {
 //  2. Every bucket is decrypted and decoded, and each stored block is
 //     checked structurally: address in range, payload size exact, and
 //     the block located on the path of its own stored label (the
-//     eviction rule). Under Fork Path merged buckets may legitimately
-//     hold stale copies of relabeled blocks, so stored labels are NOT
-//     cross-checked against the position map here.
+//     eviction rule). On a healthy device every copy off the fork
+//     handle (fork.Engine.Handle) must also be current: it carries its
+//     mapped label, its address is not in the stash, and no other
+//     bucket off the handle holds the address. Handle buckets were read
+//     into the stash and not rewritten, so their copies may be stale;
+//     so may any copy on a poisoned device, whose last access may have
+//     died between its read and its refill.
 //  3. The stash is validated, and every mapped address is located: in
 //     the stash, or carrying the mapped label somewhere on the mapped
-//     path. Stale tree copies (old labels) are ignored; a mapped block
-//     with no fresh copy anywhere is an invariant violation.
+//     path. A mapped block with no fresh copy anywhere is an invariant
+//     violation.
 //
 // Scrub reads the raw medium directly: its traffic bypasses the fault
 // injector (a scrub models an offline audit pass) but is counted in the
@@ -519,6 +471,20 @@ func (d *Device) scrub() error {
 			return err
 		}
 	}
+	// stale reports whether bucket n may hold stale copies.
+	stale := func(tree.Node) bool { return true }
+	if d.poisoned == nil {
+		stale = func(tree.Node) bool { return false }
+		if d.eng != nil {
+			label, levels, ok := d.eng.Handle()
+			if !ok {
+				return fmt.Errorf("forkoram: scrub found an access in flight (engine bug)")
+			}
+			stale = func(n tree.Node) bool { return d.tr.Level(n) < levels && d.tr.OnPath(label, n) }
+		}
+	}
+	st := d.ctl.Stash()
+	stored := make(map[uint64]tree.Node) // bucket of each current copy
 	for n := uint64(0); n < d.tr.Nodes(); n++ {
 		bk, err := d.store.ReadBucket(n)
 		if err != nil {
@@ -537,9 +503,25 @@ func (d *Device) scrub() error {
 				return fmt.Errorf("forkoram: scrub bucket %d: block %d payload %d bytes, want %d: %w",
 					n, b.Addr, len(b.Data), d.cfg.BlockSize, storage.ErrCorrupt)
 			}
+			if stale(n) {
+				continue
+			}
+			if label, ok := d.pos.Lookup(b.Addr); !ok || label != b.Label {
+				return fmt.Errorf("forkoram: scrub bucket %d: block %d off the fork handle carries label %d, not its mapped label",
+					n, b.Addr, b.Label)
+			}
+			if _, ok := st.Get(b.Addr); ok {
+				return fmt.Errorf("forkoram: scrub bucket %d: block %d is in the stash and off the fork handle",
+					n, b.Addr)
+			}
+			if m, dup := stored[b.Addr]; dup {
+				return fmt.Errorf("forkoram: scrub: block %d stored in buckets %d and %d off the fork handle",
+					b.Addr, m, n)
+			}
+			stored[b.Addr] = n
 		}
 	}
-	if err := d.ctl.Stash().Validate(); err != nil {
+	if err := st.Validate(); err != nil {
 		return err
 	}
 	return d.checkMappedBlocks()
@@ -548,8 +530,8 @@ func (d *Device) scrub() error {
 // checkMappedBlocks verifies the Path ORAM invariant for every mapped
 // address: the block is in the stash with the mapped label, or a copy
 // carrying the mapped label sits on the mapped path. Copies with other
-// labels are stale fork-merge leftovers and are ignored — only the
-// absence of a fresh copy is a violation.
+// labels are ignored here (scrub judges them) — only the absence of a
+// fresh copy is a violation.
 func (d *Device) checkMappedBlocks() error {
 	var failure error
 	st := d.ctl.Stash()

@@ -322,6 +322,9 @@ func TestScrubDetectsAndRepairsInjectedCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Complete the held refill before injecting, so the first scrub
+	// slice's release writes no bucket over an injected frame.
+	d.Stats()
 	tier := d.Tier()
 	if tier == nil {
 		t.Fatal("TierBytes configured but no tier")
