@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench json chaos chaos-smoke scrub fuzz fuzz-smoke
+.PHONY: build test race bench json paper chaos chaos-smoke scrub fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,16 @@ bench:
 # Regenerate the perf-trajectory record (BENCH_<date>.json).
 json:
 	$(GO) run ./cmd/orambench -mixes 2 -requests 800 -json
+
+# Rerun every paper experiment at the default scale (seed 1, ~7 min on
+# 2 vCPUs) and diff the tables against the committed
+# experiments_raw.txt, ignoring the run-time and record-file lines.
+# Empty output means no table moved. A change that moves one
+# regenerates the file (go run ./cmd/orambench -seed 1 >
+# experiments_raw.txt) and says in EXPERIMENTS.md which paper claim
+# moved.
+paper:
+	$(GO) run ./cmd/orambench -seed 1 | diff -I '^done in ' -I '^wrote ' experiments_raw.txt -
 
 # Crash campaigns over every topology (a bare Device under storage
 # faults, one supervised Service, a sharded fleet, an online reshard),

@@ -47,7 +47,6 @@ func main() {
 		flat       = flag.Bool("flat-layout", false, "use the flat DRAM layout (ablation)")
 		noReplace  = flag.Bool("no-dummy-replace", false, "disable dummy request replacing")
 		superBlock = flag.Int("superblock", 0, "static super-block size (0/1 = off, power of two)")
-		bgEvict    = flag.Int("bg-evict", 0, "background-eviction stash threshold (0 = off)")
 		periodic   = flag.Float64("periodic-ns", 0, "fixed issue interval in ns (0 = on-demand)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 
@@ -105,7 +104,6 @@ func main() {
 	cfg.FlatLayout = *flat
 	cfg.DummyReplaceEnabled = !*noReplace
 	cfg.SuperBlock = *superBlock
-	cfg.BackgroundEvict = *bgEvict
 	cfg.PeriodicIntervalNS = *periodic
 	cfg.Seed = *seed
 	if *inorder {

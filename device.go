@@ -698,6 +698,8 @@ func (d *Device) forkAccess(op pathoram.Op, addr uint64, data []byte) ([]byte, e
 // the label queue before draining, so Fork Path's scheduling can reorder
 // them for path overlap. Results are positional: for reads, the payload;
 // for writes, nil. Operations on the same address keep program order.
+// A one-op batch is exactly a Read or Write, Step-1 stash shortcut
+// included.
 //
 // The whole batch is validated up front: a malformed op (address out of
 // range, wrong payload size) rejects the batch before any operation runs,
@@ -726,8 +728,10 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 		}
 	}
 	results := make([][]byte, len(ops))
-	if d.base != nil || len(ops) == 0 {
-		// Baseline has no scheduling; run sequentially.
+	if d.base != nil || len(ops) <= 1 {
+		// Baseline has no scheduling; run sequentially. A one-op batch
+		// runs as Read or Write does, so a stash-resident block is served
+		// by the Step-1 shortcut instead of a queued traversal.
 		for i, op := range ops {
 			var err error
 			if op.Write {

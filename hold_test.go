@@ -143,50 +143,81 @@ func TestHeldRefillOracleAndTrace(t *testing.T) {
 // pending dummy of the previous write's held access, so it costs about
 // one traversal instead of a competition against QueueSize-1 dummies.
 // A repeat of the held access's address is a stash hit and begins no
-// traversal at all. The 2,000-block row has 512 leaves, so a pending
+// traversal at all. The 2,000-block rows have 512 leaves, so a pending
 // dummy often carries the held access's own label; it is replaceable
-// too, because the held refill has written nothing yet.
+// too, because the held refill has written nothing yet. The batch rows
+// issue every op as a one-op Device.Batch, which must behave exactly
+// like Read and Write: same checks, same bus trace.
 func TestLoneRequestsMergeWithHeldAccess(t *testing.T) {
 	const ops = 1000
 	for _, blocks := range []uint64{8 * ops, 2000} {
 		t.Run(fmt.Sprintf("blocks%d", blocks), func(t *testing.T) {
-			traversals := 0
-			d, err := NewDevice(DeviceConfig{
-				Blocks: blocks, BlockSize: 16, Variant: Fork, Seed: 7,
-				Observer: func(uint64, bool, []uint64, []uint64) { traversals++ },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			begun := func() uint64 {
-				st := d.eng.Stats()
-				return st.RealAccesses + st.DummyAccesses
-			}
-			for a := uint64(0); a < ops; a++ {
-				data := bytes.Repeat([]byte{byte(a)}, 16)
-				if err := d.Write(a, data); err != nil {
-					t.Fatal(err)
+			var direct *obsTrace
+			for _, batch := range []bool{false, true} {
+				name := "read-write"
+				if batch {
+					name = "one-op-batch"
 				}
-				if a%100 != 0 {
-					continue
-				}
-				before := begun()
-				got, err := d.Read(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, data) {
-					t.Fatalf("repeat read of %d: got %x, want %x", a, got, data)
-				}
-				if begun() != before || d.held == nil {
-					t.Fatalf("repeat of held address %d began %d traversals", a, begun()-before)
-				}
-			}
-			d.Stats()
-			per := float64(traversals) / ops
-			t.Logf("%d leaves: %.3f traversals per lone write", d.Leaves(), per)
-			if per >= 1.01 {
-				t.Fatalf("%.3f traversals per lone write, want < 1.01", per)
+				t.Run(name, func(t *testing.T) {
+					tr := &obsTrace{}
+					d, err := NewDevice(DeviceConfig{
+						Blocks: blocks, BlockSize: 16, Variant: Fork, Seed: 7, Observer: tr.hook(),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					write, read := d.Write, d.Read
+					if batch {
+						write = func(addr uint64, data []byte) error {
+							_, err := d.Batch([]BatchOp{{Addr: addr, Write: true, Data: data}})
+							return err
+						}
+						read = func(addr uint64) ([]byte, error) {
+							out, err := d.Batch([]BatchOp{{Addr: addr}})
+							if err != nil {
+								return nil, err
+							}
+							return out[0], nil
+						}
+					}
+					begun := func() uint64 {
+						st := d.eng.Stats()
+						return st.RealAccesses + st.DummyAccesses
+					}
+					for a := uint64(0); a < ops; a++ {
+						data := bytes.Repeat([]byte{byte(a)}, 16)
+						if err := write(a, data); err != nil {
+							t.Fatal(err)
+						}
+						if a%100 != 0 {
+							continue
+						}
+						before := begun()
+						got, err := read(a)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, data) {
+							t.Fatalf("repeat read of %d: got %x, want %x", a, got, data)
+						}
+						if begun() != before || d.held == nil {
+							t.Fatalf("repeat of held address %d began %d traversals", a, begun()-before)
+						}
+					}
+					d.Stats()
+					per := float64(len(tr.labels)) / ops
+					t.Logf("%d leaves: %.3f traversals per lone write", d.Leaves(), per)
+					if per >= 1.01 {
+						t.Fatalf("%.3f traversals per lone write, want < 1.01", per)
+					}
+					if !batch {
+						direct = tr
+						return
+					}
+					if err := direct.equal(tr); err != nil {
+						t.Fatalf("one-op batches diverged from Read and Write: %v", err)
+					}
+				})
 			}
 		})
 	}

@@ -204,20 +204,6 @@ func runEngineCfg(t *testing.T, leafLevel uint, n int, seed uint64, cfg fork.Con
 	return mon
 }
 
-func TestBackgroundEvictionPreservesUniformityAndForkShape(t *testing.T) {
-	// Background-eviction dummies are uniform random paths like any other
-	// access; the public trace must stay uniform and fork-consistent.
-	cfg := fork.Config{QueueSize: 8, AgeThreshold: 128, MergeEnabled: true,
-		DummyReplaceEnabled: true, BackgroundEvictThreshold: 40}
-	mon := runEngineCfg(t, 12, 4000, 6, cfg, func(i int) uint64 { return uint64(i*13) % 900 })
-	if err := mon.CheckLabelUniformity(16); err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.CheckForkConsistency(nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNoDummyReplacementStillUniform(t *testing.T) {
 	cfg := fork.Config{QueueSize: 8, AgeThreshold: 128, MergeEnabled: true}
 	mon := runEngineCfg(t, 12, 4000, 8, cfg, func(i int) uint64 { return uint64(i) % 700 })

@@ -55,13 +55,6 @@ type Config struct {
 	MergeEnabled bool
 	// DummyReplaceEnabled enables §3.3 dummy request replacing.
 	DummyReplaceEnabled bool
-	// BackgroundEvictThreshold enables background eviction (the paper's
-	// ref [18]): when the stash occupancy exceeds the threshold at the
-	// start of an access, a dummy access is issued instead of the
-	// scheduled request — a dummy reads few blocks (its path is mostly
-	// dummies) but the refill evicts greedily, so it net-drains the
-	// stash. 0 disables.
-	BackgroundEvictThreshold int
 }
 
 // Validate checks the configuration.
@@ -131,7 +124,6 @@ type Engine struct {
 	eligibleSum  uint64
 	starvedPicks uint64
 	blockedSum   uint64
-	bgEvictions  uint64
 }
 
 // NewEngine creates an engine over ctl. rnd supplies dummy labels.
@@ -393,20 +385,11 @@ func (e *Engine) Begin() (*Access, error) {
 	if e.hasCurrent && !e.current.finished {
 		return nil, fmt.Errorf("fork: Begin while an access is in flight")
 	}
-	var cur *entry
-	switch {
-	case e.cfg.BackgroundEvictThreshold > 0 && e.ctl.Stash().Len() > e.cfg.BackgroundEvictThreshold:
-		// Background eviction: run a drain dummy now; the scheduled
-		// pending (if any) keeps its turn for the following access, and
-		// this access's write phase still merges against it.
-		cur = e.newEntry(e.randomLabel(), nil)
-		e.bgEvictions++
-	case e.pending != nil:
-		cur = e.pending
-		e.pending = nil
-	default:
+	cur := e.pending
+	if cur == nil {
 		cur = e.pickPending(e.prevHint())
 	}
+	e.pending = nil
 	e.pendingRevealed = false
 
 	// Recycle the single in-flight Access record and its node slices; the
@@ -445,12 +428,8 @@ func (e *Engine) Begin() (*Access, error) {
 			return nil, err
 		}
 	}
-	// Schedule the merge target for this access's write phase — unless a
-	// background-eviction dummy preempted the already-scheduled pending,
-	// which keeps its turn.
-	if e.pending == nil {
-		e.pending = e.pickPending(cur.label)
-	}
+	// Schedule the merge target for this access's write phase.
+	e.pending = e.pickPending(cur.label)
 	// cur's fields now live in acc; the queue slot cycles back for reuse.
 	e.release(cur)
 	return acc, nil
@@ -555,18 +534,13 @@ func (e *Engine) Handle() (label tree.Label, levels uint, ok bool) {
 // between Finish and the next Begin: Finish reveals the fork point,
 // after which dummy-request replacement can no longer swap the pending
 // entry (Enqueue's replacement branch requires an in-flight access), so
-// label and fromLevel are exactly what Begin will compute. ok is false
-// when background eviction would preempt the pending entry (Begin would
-// then run a fresh random dummy instead).
+// label and fromLevel are exactly what Begin will compute.
 //
 // Security: the revealed label is the same label the adversary observes
 // moments later when the access runs; a deterministic schedule means
 // prefetching it early moves traffic in time but adds no information.
 func (e *Engine) NextScheduled() (label tree.Label, fromLevel uint, ok bool) {
 	if !e.pendingRevealed || e.pending == nil || e.hasCurrent {
-		return 0, 0, false
-	}
-	if e.cfg.BackgroundEvictThreshold > 0 && e.ctl.Stash().Len() > e.cfg.BackgroundEvictThreshold {
 		return 0, 0, false
 	}
 	if e.cfg.MergeEnabled && e.havePrev {
@@ -651,15 +625,12 @@ type Stats struct {
 	StarvedPicks uint64
 	// MeanBlocked is the average number of order-blocked entries per pick.
 	MeanBlocked float64
-	// BackgroundEvictions counts drain dummies forced by the stash
-	// occupancy threshold.
-	BackgroundEvictions uint64
 }
 
 // Stats returns cumulative counts of issued accesses.
 func (e *Engine) Stats() Stats {
 	s := Stats{RealAccesses: e.realsIssued, DummyAccesses: e.dummiesIssued,
-		StarvedPicks: e.starvedPicks, BackgroundEvictions: e.bgEvictions}
+		StarvedPicks: e.starvedPicks}
 	if e.pickCount > 0 {
 		s.MeanEligible = float64(e.eligibleSum) / float64(e.pickCount)
 		s.MeanBlocked = float64(e.blockedSum) / float64(e.pickCount)

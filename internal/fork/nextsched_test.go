@@ -3,7 +3,6 @@ package fork
 import (
 	"testing"
 
-	"forkoram/internal/block"
 	"forkoram/internal/pathoram"
 	"forkoram/internal/rng"
 )
@@ -70,39 +69,5 @@ func TestNextScheduledMatchesBegin(t *testing.T) {
 	// prediction must be available essentially always.
 	if predicted < 250 {
 		t.Fatalf("NextScheduled predicted only %d/300 windows", predicted)
-	}
-}
-
-// TestNextScheduledBackgroundEvictGate verifies the prediction abstains
-// when background eviction would preempt the pending entry: Begin would
-// run a fresh random drain dummy, not the committed schedule.
-func TestNextScheduledBackgroundEvictGate(t *testing.T) {
-	v := newEnv(t, 6, Config{
-		QueueSize: 4, AgeThreshold: 64,
-		MergeEnabled: true, DummyReplaceEnabled: true,
-		BackgroundEvictThreshold: 1,
-	})
-	e := v.eng
-	// One access commits a pending entry (the predictable case)...
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := e.NextScheduled(); !ok {
-		t.Fatal("NextScheduled not ok with a committed pending and an empty stash")
-	}
-	// ...then stuffing the stash past the threshold flips Begin to a
-	// drain dummy, so the prediction must abstain.
-	for i := 0; i < 4; i++ {
-		v.ctl.Stash().Put(block.Block{Addr: uint64(1000 + i), Label: 0, Data: make([]byte, 8)})
-	}
-	if _, _, ok := e.NextScheduled(); ok {
-		t.Fatal("NextScheduled ok although background eviction will preempt")
-	}
-	a, err := e.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Dummy() {
-		t.Fatal("Begin did not run the background-eviction dummy the gate predicted")
 	}
 }

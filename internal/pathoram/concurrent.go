@@ -14,8 +14,8 @@ import (
 // engine behind every pipelined session. The fork engine still runs
 // serially on the sequencer goroutine and decides the whole schedule —
 // labels, merge levels, dummy substitutions — ahead of execution, which
-// is sound because every engine decision is stash-independent
-// (BackgroundEvictThreshold is 0 under pipelining).
+// is sound because no engine decision reads the stash: the engine's
+// only controller calls are ReadRange, WriteLevel and EndAccess.
 // What used to happen inline per access (fetch consume, stash puts,
 // serve, eviction planning) is instead *recorded* into a ctask and
 // executed later on a worker pool, out of order where the dependency

@@ -33,17 +33,3 @@ func TestSuperBlockValidationInSim(t *testing.T) {
 		t.Fatal("non-power-of-two super block accepted")
 	}
 }
-
-func TestBackgroundEvictInSim(t *testing.T) {
-	cfg := testConfig(ForkPath)
-	cfg.BackgroundEvict = 60
-	cfg.RequestsPerCore = 1500
-	res := run(t, cfg)
-	if res.Stash.MaxOccupancy == 0 {
-		t.Fatal("no stash activity")
-	}
-	// The run must still complete all demands correctly.
-	if res.DemandRequests == 0 {
-		t.Fatal("no demand requests")
-	}
-}

@@ -101,9 +101,6 @@ type Config struct {
 	QueueSize           int
 	AgeThreshold        int // 0 = 16*QueueSize
 	DummyReplaceEnabled bool
-	// BackgroundEvict forces a drain dummy when the stash exceeds this
-	// occupancy (ref [18]'s background eviction); 0 disables.
-	BackgroundEvict int
 
 	// On-chip bucket cache.
 	Cache      CacheKind
@@ -367,11 +364,10 @@ func build(cfg Config) (*machine, error) {
 			age = 16 * cfg.QueueSize
 		}
 		eng, err = fork.NewEngine(fork.Config{
-			QueueSize:                cfg.QueueSize,
-			AgeThreshold:             age,
-			MergeEnabled:             true,
-			DummyReplaceEnabled:      cfg.DummyReplaceEnabled,
-			BackgroundEvictThreshold: cfg.BackgroundEvict,
+			QueueSize:           cfg.QueueSize,
+			AgeThreshold:        age,
+			MergeEnabled:        true,
+			DummyReplaceEnabled: cfg.DummyReplaceEnabled,
 		}, hier.Controller(), root.Split())
 		if err != nil {
 			return nil, err

@@ -198,12 +198,16 @@ type CrashPoint int
 
 // Crash sites, in write-path order.
 const (
-	// CrashAfterAppend: journal record buffered, durability barrier not
-	// yet issued. The record may be wholly lost or persist as a torn tail.
+	// CrashAfterAppend: a dispatch window's journal records are framed
+	// and buffered as one batch, the shared durability barrier not yet
+	// issued. The records may vanish or persist as a torn prefix; none
+	// of the window's operations was acknowledged.
 	CrashAfterAppend CrashPoint = iota
-	// CrashAfterSync: record durable, device apply not yet run.
+	// CrashAfterSync: the window's records are durable behind one sync,
+	// none applied yet — replay must reconstruct every one of them.
 	CrashAfterSync
-	// CrashAfterApply: applied to the device, acknowledgement not sent.
+	// CrashAfterApply: the window is applied to the device, no
+	// acknowledgement sent. Read-only windows consult it too.
 	CrashAfterApply
 	// CrashAfterCheckpointSave: checkpoint durable, journal not yet
 	// truncated — replay must tolerate the already-applied prefix.
@@ -217,17 +221,6 @@ const (
 	// MemStore.CrashTruncate hook rather than the Service crashHook (the
 	// Service is not running yet), but reported like any other site.
 	CrashMidCompaction
-	// CrashAfterGroupAppend: a coalesced group's records are framed and
-	// buffered as one batch, the shared durability barrier not yet
-	// issued. The whole group may vanish or persist as a torn prefix;
-	// none of its operations were acknowledged. Consulted only on the
-	// group-commit path (after the generic CrashAfterAppend), so the
-	// singleton cadence is untouched.
-	CrashAfterGroupAppend
-	// CrashAfterGroupSync: the whole group is durable behind one sync,
-	// no operation of the group has been applied yet — replay must
-	// reconstruct every one of them.
-	CrashAfterGroupSync
 	// CrashMidPipeline: inside a pipelined dispatch window, between two
 	// accesses — the finished access's refill has entered the writeback
 	// stage (possibly not yet on the medium) and the next access's path
@@ -276,10 +269,6 @@ func (p CrashPoint) String() string {
 		return "mid-restore"
 	case CrashMidCompaction:
 		return "mid-compaction"
-	case CrashAfterGroupAppend:
-		return "after-group-append"
-	case CrashAfterGroupSync:
-		return "after-group-sync"
 	case CrashMidPipeline:
 		return "mid-pipeline"
 	case CrashMidBucketWrite:
@@ -464,8 +453,8 @@ type ServiceStats struct {
 	// commit buys (1.0 means one sync per record).
 	WALRecords uint64
 	WALSyncs   uint64
-	// Groups counts dispatch windows (coalesced or singleton) served on
-	// the healthy path; GroupedOps the requests they carried.
+	// Groups counts dispatch windows served on the healthy path, a
+	// window of one included; GroupedOps the requests they carried.
 	Groups     uint64
 	GroupedOps uint64
 	// GroupSizes histograms the window sizes into buckets of
@@ -894,26 +883,22 @@ func (s *Service) run() {
 	}
 }
 
-// dispatch coalesces first with whatever else the queue holds and serves
-// the window. A window of one goes down the exact singleton path (same
-// code, same crash-hook cadence as before group commit existed); larger
-// windows take the group-commit path. Reports false when a crash
-// injection killed the service.
+// dispatch serves first. On a healthy service it coalesces first with
+// whatever else the queue holds and group-commits the window, a window
+// of one included; a checkpoint that opens its window, and every
+// request once the service is degraded or failed, goes to serve alone.
+// Reports false when a crash injection killed the service.
 func (s *Service) dispatch(first *svcReq) bool {
-	g := s.gather(first)
-	alive := true
-	if len(g) == 1 {
-		if g[0].kind != reqCheckpoint && s.State() == StateHealthy {
-			s.recordGroup(1)
-		}
-		alive = s.serve(g[0])
+	var alive bool
+	if first.kind == reqCheckpoint || s.State() != StateHealthy {
+		alive = s.serve(first)
 	} else {
+		g := s.gather(first)
 		alive = s.serveGroup(g)
-	}
-	// The scratch backing is reused; drop request references so a window
-	// cannot pin payloads (or response channels) past its dispatch.
-	for i := range g {
-		g[i] = nil
+		// The scratch backing is reused; drop request references so a
+		// window cannot pin payloads (or response channels) past its
+		// dispatch.
+		clear(g)
 	}
 	s.foldPipelineStats()
 	if alive {
@@ -949,16 +934,15 @@ func (s *Service) maybeScrub() bool {
 	return true
 }
 
-// gather builds one dispatch window: the first request plus up to
-// QueueDepth-1 more drained without blocking. A checkpoint request
-// terminates the window as a trailing barrier — it commits after the
-// group it joined, never reordered before other requests. Degraded,
-// failed, and checkpoint-first requests are served alone: their paths
-// answer per request.
+// gather builds one dispatch window of a healthy service: the first
+// request plus up to QueueDepth-1 more drained without blocking. A
+// checkpoint request terminates the window as a trailing barrier — it
+// commits after the group it joined, never reordered before other
+// requests.
 func (s *Service) gather(first *svcReq) []*svcReq {
 	g := append(s.groupBuf[:0], first)
 	defer func() { s.groupBuf = g[:0] }()
-	if first.kind == reqCheckpoint || s.cfg.QueueDepth <= 1 || s.State() != StateHealthy {
+	if s.cfg.QueueDepth <= 1 {
 		return g
 	}
 	// First-request linger: clients admitted in the same instant as
@@ -1005,11 +989,12 @@ func (s *Service) recordGroup(n int) {
 	})
 }
 
-// serveGroup commits one multi-request window: the active requests are
+// serveGroup commits one dispatch window: the active requests are
 // group-committed (one journal sync covers every write in the window,
 // one Device.Batch serves the window so Fork's scheduler merges across
 // it), then a trailing checkpoint barrier — if one closed the window —
-// commits after the group it joined.
+// commits after the group it joined. The window's first request is
+// never a checkpoint (see dispatch), so the group is never empty.
 func (s *Service) serveGroup(g []*svcReq) bool {
 	active := g
 	var ckpt *svcReq
@@ -1017,14 +1002,12 @@ func (s *Service) serveGroup(g []*svcReq) bool {
 		ckpt = g[len(g)-1]
 		active = g[:len(g)-1]
 	}
-	if len(active) > 0 {
-		s.recordGroup(len(active))
-		if !s.commitGroup(active) {
-			if ckpt != nil {
-				ckpt.resp <- svcResp{err: errKilled}
-			}
-			return false
+	s.recordGroup(len(active))
+	if !s.commitGroup(active) {
+		if ckpt != nil {
+			ckpt.resp <- svcResp{err: errKilled}
 		}
+		return false
 	}
 	if ckpt != nil {
 		// serve handles every state the group may have left behind
@@ -1040,11 +1023,12 @@ func (s *Service) serveGroup(g []*svcReq) bool {
 //	validate each -> journal all writes in ONE frame batch -> ONE sync
 //	-> apply the whole window via ONE Device.Batch -> distribute.
 //
-// Invalid requests are answered immediately and excluded, so one
-// malformed op never poisons its neighbours. Acknowledgement keeps the
-// singleton invariant, widened to the group: a write is acked only
-// after the group's records are durable AND applied — ack ⇔ the group's
-// sync happened. Reports false when a crash injection killed the
+// It is a healthy service's only dispatch path, a window of one
+// included, so every journaled write meets the same kill sites and the
+// same ack rule. Invalid requests are answered immediately and
+// excluded, so one malformed op never poisons its neighbours. A write
+// is acked only after the group's records are durable AND applied —
+// ack ⇔ the group's sync happened. Reports false when a crash injection killed the
 // service; every still-unanswered request is then answered errKilled.
 func (s *Service) commitGroup(g []*svcReq) bool {
 	live := s.liveBuf[:0]
@@ -1067,8 +1051,8 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 		s.opsBuf, s.spanBuf = ops[:0], spans[:0]
 	}()
 
-	// Validate before journaling (the singleton rule, per request): a
-	// malformed op must not enter the WAL, and Device.Batch validates the
+	// Validate before journaling: a malformed op must not enter the WAL
+	// (replay would re-reject it forever), and Device.Batch validates the
 	// combined op list wholesale, so anything invalid must be weeded out
 	// here or it would fail the entire window.
 	for _, req := range g {
@@ -1104,7 +1088,7 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 			return s.failGroup(live, err)
 		}
 		s.bump(func(t *ServiceStats) { t.WALRecords += uint64(len(recs)) })
-		if s.killed(CrashAfterAppend) || s.killed(CrashAfterGroupAppend) {
+		if s.killed(CrashAfterAppend) {
 			s.killGroup(live)
 			return false
 		}
@@ -1115,14 +1099,16 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 			return s.failGroup(live, err)
 		}
 		s.bump(func(t *ServiceStats) { t.WALSyncs++ })
-		if s.killed(CrashAfterSync) || s.killed(CrashAfterGroupSync) {
+		if s.killed(CrashAfterSync) {
 			s.killGroup(live)
 			return false
 		}
 	}
 
 	// Apply: concatenate the window into one Device.Batch so the Fork
-	// scheduler's merge window spans every request in the group.
+	// scheduler's merge window spans every request in the group. A
+	// one-op window reaches the engine as Device.Read or Write would,
+	// Step-1 stash shortcut included (see Device.Batch).
 	for _, req := range live {
 		start := len(ops)
 		switch req.kind {
@@ -1194,19 +1180,24 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 			muts++
 		}
 	}
+	// Mutations advance the checkpoint clock; reads have nothing to
+	// re-anchor.
 	s.sinceCkpt += muts
 	s.sinceScrub += muts
 	if muts > 0 && s.sinceCkpt >= s.cfg.CheckpointEvery {
 		if err := s.commitCheckpoint(); errors.Is(err, errKilled) {
 			return false
 		}
-		// A failed periodic checkpoint is not fatal (see serve).
+		// A failed periodic checkpoint is not fatal: the previous
+		// checkpoint plus the (untruncated) journal still cover every
+		// acknowledged write. The next interval retries.
 	}
 	return true
 }
 
-// validateReq applies the singleton admission checks to one request
-// (mirrors serveWrite/serveBatch: nothing malformed enters the WAL).
+// validateReq applies Device.Read, Write and Batch's argument checks to
+// one request, so nothing malformed enters the WAL and one bad request
+// cannot fail its window's combined Device.Batch.
 func (s *Service) validateReq(req *svcReq) error {
 	switch req.kind {
 	case reqRead:
@@ -1232,14 +1223,19 @@ func (s *Service) validateReq(req *svcReq) error {
 	return nil
 }
 
-// failGroup answers every live request with err — none were acked, so
-// failing all is sound — then heals the journal exactly like the
-// singleton paths.
+// failGroup heals the journal (see healJournal), then answers every
+// live request with err — none were acked, so failing all is sound. The
+// heal comes first, so a client that sees the error also sees the
+// checkpoint that cleared it; a kill inside the heal answers errKilled.
 func (s *Service) failGroup(live []*svcReq, err error) bool {
+	alive := s.healJournal()
+	if !alive {
+		err = errKilled
+	}
 	for _, req := range live {
 		req.resp <- svcResp{err: err}
 	}
-	return s.healJournal()
+	return alive
 }
 
 // killGroup answers every still-pending request in a killed window.
@@ -1265,64 +1261,21 @@ func (s *Service) drainKilled() {
 	}
 }
 
-// serve handles one request; it reports false when a crash injection
-// killed the service mid-operation.
+// serve handles a request outside a healthy window: a checkpoint that
+// opens its window or closes a group, and every request once the
+// service is degraded or failed. It reports false when a crash
+// injection killed the service.
 func (s *Service) serve(req *svcReq) bool {
-	st := s.State()
-	switch st {
+	switch s.State() {
 	case StateFailed:
 		req.resp <- svcResp{err: s.terminalErr()}
 		return true
 	case StateDegraded:
 		return s.serveDegraded(req)
 	}
-	var resp svcResp
-	var alive bool
-	switch req.kind {
-	case reqRead:
-		resp, alive = s.serveRead(req.addr)
-		if alive && resp.err == nil {
-			s.bump(func(t *ServiceStats) { t.Reads++ })
-		}
-	case reqWrite:
-		resp, alive = s.serveWrite(req.addr, req.data)
-		if alive && resp.err == nil {
-			s.bump(func(t *ServiceStats) { t.Writes++ })
-		}
-	case reqBatch:
-		resp, alive = s.serveBatch(req.ops)
-		if alive && resp.err == nil {
-			s.bump(func(t *ServiceStats) { t.Batches++ })
-		}
-	case reqCheckpoint:
-		err := s.commitCheckpoint()
-		if errors.Is(err, errKilled) {
-			req.resp <- svcResp{err: errKilled}
-			return false
-		}
-		req.resp <- svcResp{err: err}
-		return true
-	}
-	if !alive {
-		req.resp <- svcResp{err: errKilled}
-		return false
-	}
-	req.resp <- resp
-	if resp.err == nil && req.kind != reqRead {
-		// Mutations advance the checkpoint clock; reads have nothing to
-		// re-anchor. (sinceCkpt counts acked mutating ops.)
-		s.sinceCkpt++
-		s.sinceScrub++
-		if s.sinceCkpt >= s.cfg.CheckpointEvery {
-			if err := s.commitCheckpoint(); errors.Is(err, errKilled) {
-				return false
-			}
-			// A failed periodic checkpoint is not fatal: the previous
-			// checkpoint plus the (untruncated) journal still cover every
-			// acknowledged write. The next interval retries.
-		}
-	}
-	return true
+	err := s.commitCheckpoint()
+	req.resp <- svcResp{err: err}
+	return !errors.Is(err, errKilled)
 }
 
 // serveDegraded serves reads best-effort after the recovery budget is
@@ -1353,144 +1306,6 @@ func (s *Service) serveDegraded(req *svcReq) bool {
 	}
 	req.resp <- svcResp{data: out, err: err}
 	return true
-}
-
-func (s *Service) serveRead(addr uint64) (svcResp, bool) {
-	for {
-		out, err := s.dev.Read(addr)
-		if err == nil {
-			return svcResp{data: out}, true
-		}
-		if s.dev.Poisoned() == nil {
-			return svcResp{err: err}, true // validation error: not a failure
-		}
-		if rerr := s.supervise(err); rerr != nil {
-			if errors.Is(rerr, errKilled) {
-				return svcResp{}, false
-			}
-			return svcResp{err: rerr}, true
-		}
-	}
-}
-
-func (s *Service) serveWrite(addr uint64, data []byte) (svcResp, bool) {
-	// Validate before journaling: a malformed write must not enter the
-	// WAL (replay would re-reject it forever).
-	if err := s.dev.checkAddr(addr); err != nil {
-		return svcResp{err: err}, true
-	}
-	if len(data) != s.dev.cfg.BlockSize {
-		return svcResp{err: fmt.Errorf("forkoram: payload %d bytes, want %d", len(data), s.dev.cfg.BlockSize)}, true
-	}
-	s.logMu.Lock()
-	_, err := s.log.Append(wal.OpWrite, addr, data)
-	s.logMu.Unlock()
-	if err != nil {
-		return svcResp{err: err}, s.healJournal()
-	}
-	s.bump(func(t *ServiceStats) { t.WALRecords++ })
-	if s.killed(CrashAfterAppend) {
-		return svcResp{}, false
-	}
-	s.logMu.Lock()
-	err = s.log.Sync()
-	s.logMu.Unlock()
-	if err != nil {
-		return svcResp{err: err}, s.healJournal()
-	}
-	s.bump(func(t *ServiceStats) { t.WALSyncs++ })
-	if s.killed(CrashAfterSync) {
-		return svcResp{}, false
-	}
-	err = s.dev.Write(addr, data)
-	for err != nil {
-		if s.dev.Poisoned() == nil {
-			return svcResp{err: err}, true
-		}
-		if rerr := s.supervise(err); rerr != nil {
-			if errors.Is(rerr, errKilled) {
-				return svcResp{}, false
-			}
-			return svcResp{err: rerr}, true
-		}
-		// Recovery replayed the journal, which includes this record: the
-		// write is applied. (Replaying it again would also be correct —
-		// journal writes are idempotent — but there is nothing left to do.)
-		err = nil
-	}
-	if s.killed(CrashAfterApply) {
-		return svcResp{}, false
-	}
-	return svcResp{}, true
-}
-
-func (s *Service) serveBatch(ops []BatchOp) (svcResp, bool) {
-	// Validate the whole batch up front (mirrors Device.Batch): nothing
-	// is journaled or applied unless every op is well-formed.
-	for i, op := range ops {
-		if err := s.dev.checkAddr(op.Addr); err != nil {
-			return svcResp{err: fmt.Errorf("forkoram: batch op %d: %w", i, err)}, true
-		}
-		if op.Write && len(op.Data) != s.dev.cfg.BlockSize {
-			return svcResp{err: fmt.Errorf("forkoram: batch op %d: payload %d bytes, want %d",
-				i, len(op.Data), s.dev.cfg.BlockSize)}, true
-		}
-	}
-	wrote := false
-	for _, op := range ops {
-		if !op.Write {
-			continue
-		}
-		s.logMu.Lock()
-		_, err := s.log.Append(wal.OpWrite, op.Addr, op.Data)
-		s.logMu.Unlock()
-		if err != nil {
-			return svcResp{err: err}, s.healJournal()
-		}
-		wrote = true
-		s.bump(func(t *ServiceStats) { t.WALRecords++ })
-	}
-	if wrote {
-		if s.killed(CrashAfterAppend) {
-			return svcResp{}, false
-		}
-		s.logMu.Lock()
-		err := s.log.Sync()
-		s.logMu.Unlock()
-		if err != nil {
-			return svcResp{err: err}, s.healJournal()
-		}
-		s.bump(func(t *ServiceStats) { t.WALSyncs++ })
-		if s.killed(CrashAfterSync) {
-			return svcResp{}, false
-		}
-	}
-	for {
-		out, err := s.dev.Batch(ops)
-		if err == nil {
-			if s.killed(CrashAfterApply) {
-				return svcResp{}, false
-			}
-			return svcResp{batch: out}, true
-		}
-		if errors.Is(err, errKilled) {
-			// Mid-pipeline crash injection kills the service, it is not a
-			// device fault to supervise away.
-			return svcResp{}, false
-		}
-		if s.dev.Poisoned() == nil {
-			return svcResp{err: err}, true
-		}
-		if rerr := s.supervise(err); rerr != nil {
-			if errors.Is(rerr, errKilled) {
-				return svcResp{}, false
-			}
-			return svcResp{err: rerr}, true
-		}
-		// Recovery replayed the batch's writes; re-running the batch
-		// re-applies them idempotently and refreshes the read results,
-		// preserving the batch's positional contract.
-	}
 }
 
 // supervise handles a device fail-stop: bounded, backed-off recovery

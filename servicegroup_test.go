@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"forkoram/internal/rng"
 )
 
 // TestGroupCommitCoalesces: concurrent writers racing the admission
@@ -403,5 +405,74 @@ func TestBurstCoalescingFewCores(t *testing.T) {
 	}
 	if st.WALSyncs >= st.Writes {
 		t.Fatalf("%d syncs for %d writes on one P: coalescing regressed", st.WALSyncs, st.Writes)
+	}
+}
+
+// TestWindowOfOneTraversesLikeDevice: a Service whose windows hold one
+// request each (QueueDepth 1) reaches the Fork engine exactly as a bare
+// Device's Read and Write do. The stream revisits the previous address
+// about a third of the time, so the Step-1 stash shortcut (a repeat of
+// the held access's address begins no traversal) decides many of its
+// ops: a one-op window that admitted its request through the label
+// queue would traverse far more often. Results and bus traces must be
+// identical, and every request must have been group-committed.
+func TestWindowOfOneTraversesLikeDevice(t *testing.T) {
+	const blocks, blockSize, ops = 8192, 16, 3000
+	var svcTr, devTr obsTrace
+	dc := DeviceConfig{Blocks: blocks, BlockSize: blockSize, Variant: Fork, Seed: 21}
+	sc := dc
+	sc.Observer = svcTr.hook()
+	svc, err := NewService(ServiceConfig{Device: sc, QueueDepth: 1, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.Observer = devTr.hook()
+	d, err := NewDevice(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	src := rng.New(5)
+	prev := uint64(0)
+	for i := 0; i < ops; i++ {
+		addr := src.Uint64n(blocks)
+		if src.Uint64n(3) == 0 {
+			addr = prev
+		}
+		prev = addr
+		if src.Uint64n(2) == 0 {
+			data := bytes.Repeat([]byte{byte(i), byte(i >> 8)}, blockSize/2)
+			if err := svc.Write(ctx, addr, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Write(addr, data); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := svc.Read(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.Read(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("op %d: service read %x at %d, device read %x", i, got, addr, want)
+		}
+	}
+	// Both complete the held refill: Stats on the device, the final
+	// checkpoint on the service.
+	d.Stats()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Groups != ops || st.GroupSizes[0] != ops {
+		t.Fatalf("%d groups (%d of one request) for %d requests", st.Groups, st.GroupSizes[0], ops)
+	}
+	t.Logf("%d traversals for %d ops", len(devTr.labels), ops)
+	if err := devTr.equal(&svcTr); err != nil {
+		t.Fatalf("service trace diverged from the device's: %v", err)
 	}
 }
