@@ -13,14 +13,19 @@ test:
 race:
 	$(GO) test -race . ./internal/...
 
+# Allocation counts of one access, then the hot-path benchmarks: bucket
+# encoding, one refill's eviction, a bulk path read, and a 32-op Batch
+# at perfbench's batch-1k geometry (CI runs the latter once each).
 bench:
 	$(GO) test -bench BenchmarkAccessAllocs -benchtime 1000x ./internal/fork ./internal/pathoram
+	$(GO) test -run '^$$' -bench 'Benchmark(EncodeBucket|EvictPath|MemReadBuckets|DeviceBatch)$$' -benchmem \
+		./internal/block ./internal/stash ./internal/storage .
 
 # Regenerate the perf-trajectory record (BENCH_<date>.json).
 json:
 	$(GO) run ./cmd/orambench -mixes 2 -requests 800 -json
 
-# Rerun every paper experiment at the default scale (seed 1, ~7 min on
+# Rerun every paper experiment at the default scale (seed 1, ~4 min on
 # 2 vCPUs) and diff the tables against the committed
 # experiments_raw.txt, ignoring the run-time and record-file lines.
 # Empty output means no table moved. A change that moves one

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"forkoram/internal/bench"
+	"forkoram/internal/rng"
 	"forkoram/internal/sim"
 	"forkoram/internal/workload"
 )
@@ -230,5 +231,42 @@ func BenchmarkDeviceOps(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDeviceBatch measures one 32-op Device.Batch on a Mem-backed
+// Fork device at perfbench's batch-1k geometry (4,096 blocks of 1 KiB,
+// serial engine): one iteration is one batch, all reads or all writes in
+// turn, over uniform addresses of a prefilled device.
+func BenchmarkDeviceBatch(b *testing.B) {
+	const blocks, batch = 4096, 32
+	d, err := NewDevice(DeviceConfig{Blocks: blocks, BlockSize: 1024, Variant: Fork})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, d.BlockSize())
+	ops := make([]BatchOp, batch)
+	for a := uint64(0); a < blocks; a += batch {
+		for i := range ops {
+			ops[i] = BatchOp{Addr: a + uint64(i), Write: true, Data: data}
+		}
+		if _, err := d.Batch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write := i%2 == 1
+		for j := range ops {
+			ops[j] = BatchOp{Addr: r.Uint64n(blocks), Write: write}
+			if write {
+				ops[j].Data = data
+			}
+		}
+		if _, err := d.Batch(ops); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package block
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -61,25 +63,52 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodePadsDeterministically encodes 0..Z real blocks at payload
+// sizes around the header, a cache line and a page into a 0xFF-filled
+// window of a larger buffer. Every dummy slot must read DummyAddr, label
+// 0 and an all-zero payload, so the encoding never depends on the
+// buffer's previous contents, and no byte outside the window may change.
 func TestEncodePadsDeterministically(t *testing.T) {
-	// Two encodings of the same logical bucket must be byte-identical even
-	// if the destination buffer previously held other data: padding must
-	// not leak stale bytes.
-	g := geo()
-	b := Bucket{Blocks: []Block{{Addr: 1, Label: 2, Data: make([]byte, g.PayloadSize)}}}
-	w1 := make([]byte, g.BucketSize())
-	w2 := make([]byte, g.BucketSize())
-	for i := range w2 {
-		w2[i] = 0xFF
-	}
-	if err := g.EncodeBucket(w1, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.EncodeBucket(w2, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w1, w2) {
-		t.Fatal("encoding depends on prior buffer contents")
+	const guard = 37
+	for _, size := range []int{1, 15, 64, 1024, 1025} {
+		g := Geometry{Z: 4, PayloadSize: size}
+		stride := EncodedBlockSize(size)
+		for real := 0; real <= g.Z; real++ {
+			var b Bucket
+			for i := 0; i < real; i++ {
+				d := make([]byte, size)
+				for j := range d {
+					d[j] = byte(i + j + 1)
+				}
+				b.Blocks = append(b.Blocks, Block{Addr: uint64(10 + i), Label: uint64(i), Data: d})
+			}
+			buf := bytes.Repeat([]byte{0xFF}, guard+g.BucketSize()+guard)
+			dst := buf[guard : guard+g.BucketSize()]
+			if err := g.EncodeBucket(dst, &b); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < guard; i++ {
+				if buf[i] != 0xFF || buf[len(buf)-1-i] != 0xFF {
+					t.Fatalf("size %d, %d real: encoding wrote outside dst", size, real)
+				}
+			}
+			for s := real; s < g.Z; s++ {
+				slot := dst[s*stride : (s+1)*stride]
+				if addr := binary.LittleEndian.Uint64(slot); addr != DummyAddr {
+					t.Fatalf("size %d, %d real: slot %d addr %#x, want DummyAddr", size, real, s, addr)
+				}
+				if label := binary.LittleEndian.Uint64(slot[8:]); label != 0 {
+					t.Fatalf("size %d, %d real: slot %d label %d, want 0", size, real, s, label)
+				}
+				if !bytes.Equal(slot[headerSize:], make([]byte, size)) {
+					t.Fatalf("size %d, %d real: slot %d payload not zeroed", size, real, s)
+				}
+			}
+			out, err := g.DecodeBucket(dst)
+			if err != nil || len(out.Blocks) != real {
+				t.Fatalf("size %d, %d real: decoded %d blocks (%v)", size, real, len(out.Blocks), err)
+			}
+		}
 	}
 }
 
@@ -183,5 +212,28 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkEncodeBucket measures encoding one Z = 4 bucket of 1 KiB
+// payloads holding 1 or 3 real blocks, the rest dummy padding.
+func BenchmarkEncodeBucket(b *testing.B) {
+	g := Geometry{Z: 4, PayloadSize: 1024}
+	for _, real := range []int{1, 3} {
+		b.Run(fmt.Sprintf("real=%d", real), func(b *testing.B) {
+			var bk Bucket
+			for i := 0; i < real; i++ {
+				bk.Blocks = append(bk.Blocks, Block{Addr: uint64(i), Label: uint64(i), Data: make([]byte, g.PayloadSize)})
+			}
+			dst := make([]byte, g.BucketSize())
+			b.SetBytes(int64(len(dst)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := g.EncodeBucket(dst, &bk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

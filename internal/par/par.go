@@ -1,5 +1,6 @@
 // Package par provides the bounded fan-out/fan-in primitive the
-// experiment harness runs on: a fixed pool of workers consuming an
+// experiment harness and the storage media's bulk calls run on: a fixed
+// pool of workers, the calling goroutine among them, consuming an
 // indexed job list, with results delivered in input order regardless of
 // completion order.
 //
@@ -26,11 +27,13 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs f(0..n-1) on up to workers goroutines and waits for all of
-// them. If any call fails, the error of the lowest-numbered failing job
-// is returned (a deterministic choice, unlike "whichever failed first on
-// the wall clock") and jobs not yet started are skipped. Jobs already
-// running are not interrupted.
+// ForEach runs f(0..n-1) on up to workers goroutines, the caller's
+// included, and waits for all of them: the caller claims jobs like any
+// helper, so a call starts workers-1 goroutines and parks only once its
+// own claims run out. If any call fails, the error of the lowest-numbered
+// failing job is returned (a deterministic choice, unlike "whichever
+// failed first on the wall clock") and jobs not yet started are skipped.
+// Jobs already running are not interrupted.
 func ForEach(workers, n int, f func(i int) error) error {
 	workers = Workers(workers)
 	if workers > n {
@@ -56,37 +59,39 @@ func ForEach(workers, n int, f func(i int) error) error {
 		firstEr error
 		wg      sync.WaitGroup
 	)
-	record := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if i < firstI {
-			firstI, firstEr = i, err
+	claim := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || failed.Load() {
+				return
+			}
+			if err := f(i); err != nil {
+				failed.Store(true)
+				mu.Lock()
+				if i < firstI {
+					firstI, firstEr = i, err
+				}
+				mu.Unlock()
+				return
+			}
 		}
-		mu.Unlock()
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := f(i); err != nil {
-					record(i, err)
-					return
-				}
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
 	return firstEr
 }
 
-// Map applies f to every element of in on up to workers goroutines and
-// returns the results in input order. On failure it returns the error of
-// the lowest-indexed failing job and a nil slice.
+// Map applies f to every element of in on up to workers goroutines, the
+// caller's included (see ForEach), and returns the results in input
+// order. On failure it returns the error of the lowest-indexed failing
+// job and a nil slice.
 func Map[T, R any](workers int, in []T, f func(i int, v T) (R, error)) ([]R, error) {
 	out := make([]R, len(in))
 	err := ForEach(workers, len(in), func(i int) error {

@@ -10,6 +10,14 @@
 // Eviction is the standard greedy leaf-to-root fill: for each bucket on
 // the written path segment, take as many resident-eligible blocks as fit.
 //
+// # Layout
+//
+// Blocks live in one dense slice, in no particular order, with an
+// address index beside it; Remove swap-deletes. Eviction scans the slice
+// once per written bucket, which is contiguous memory, and picks among
+// the eligible blocks by ascending address. Nothing the stash returns
+// depends on the slice's order: eviction and ForEach both sort.
+//
 // # Concurrency contract
 //
 // The stash itself is single-threaded: no method takes a lock, and no
@@ -25,9 +33,9 @@
 package stash
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"forkoram/internal/block"
 	"forkoram/internal/tree"
@@ -36,8 +44,9 @@ import (
 // Stash holds data blocks keyed by program address.
 type Stash struct {
 	tr       tree.Tree
-	capacity int // soft capacity C; 0 disables overflow accounting
-	blocks   map[uint64]block.Block
+	capacity int              // soft capacity C; 0 disables overflow accounting
+	blocks   []block.Block    // resident blocks, dense, in no particular order
+	index    map[uint64]int32 // address -> position in blocks
 
 	addrScratch []uint64 // reused by EvictAppend
 
@@ -52,13 +61,16 @@ type Stash struct {
 // counted as an overflow event rather than a hard failure, matching how
 // stash overflow probability is studied in the Path ORAM literature.
 func New(tr tree.Tree, capacity int) *Stash {
-	return &Stash{tr: tr, capacity: capacity, blocks: make(map[uint64]block.Block)}
+	return &Stash{tr: tr, capacity: capacity, index: make(map[uint64]int32)}
 }
 
 // Get returns the block with the given address, if present.
 func (s *Stash) Get(addr uint64) (block.Block, bool) {
-	b, ok := s.blocks[addr]
-	return b, ok
+	i, ok := s.index[addr]
+	if !ok {
+		return block.Block{}, false
+	}
+	return s.blocks[i], true
 }
 
 // Put inserts or replaces a block. Dummy blocks are never stored.
@@ -66,7 +78,12 @@ func (s *Stash) Put(b block.Block) {
 	if b.IsDummy() {
 		return
 	}
-	s.blocks[b.Addr] = b
+	if i, ok := s.index[b.Addr]; ok {
+		s.blocks[i] = b
+		return
+	}
+	s.index[b.Addr] = int32(len(s.blocks))
+	s.blocks = append(s.blocks, b)
 	if n := len(s.blocks); n > s.maxOccupancy {
 		s.maxOccupancy = n
 	}
@@ -80,17 +97,33 @@ func (s *Stash) PutBucket(bk *block.Bucket) {
 }
 
 // Remove deletes the block with the given address, if present.
-func (s *Stash) Remove(addr uint64) { delete(s.blocks, addr) }
+func (s *Stash) Remove(addr uint64) {
+	if i, ok := s.index[addr]; ok {
+		s.removeAt(i)
+	}
+}
+
+// removeAt deletes the block at position i by moving the last block
+// into its place.
+func (s *Stash) removeAt(i int32) {
+	last := int32(len(s.blocks) - 1)
+	delete(s.index, s.blocks[i].Addr)
+	if i != last {
+		s.blocks[i] = s.blocks[last]
+		s.index[s.blocks[i].Addr] = i
+	}
+	s.blocks[last] = block.Block{} // drop the payload reference
+	s.blocks = s.blocks[:last]
+}
 
 // Relabel updates the label of a stash-resident block (Step 4 of the
 // access flow). It reports whether the block was present.
 func (s *Stash) Relabel(addr uint64, label tree.Label) bool {
-	b, ok := s.blocks[addr]
+	i, ok := s.index[addr]
 	if !ok {
 		return false
 	}
-	b.Label = label
-	s.blocks[addr] = b
+	s.blocks[i].Label = label
 	return true
 }
 
@@ -99,9 +132,9 @@ func (s *Stash) Len() int { return len(s.blocks) }
 
 // EvictFor removes and returns up to max blocks eligible to reside in
 // bucket n (blocks whose current label's path passes through n).
-// Selection among eligible blocks is by ascending address, which keeps the
-// simulation deterministic regardless of map iteration order; any choice
-// preserves the invariant.
+// Selection among eligible blocks is by ascending address, which keeps
+// the choice a function of the stash's contents alone, not of the order
+// its slice happens to hold them in; any choice preserves the invariant.
 func (s *Stash) EvictFor(n tree.Node, max int) []block.Block {
 	return s.EvictAppend(nil, n, max)
 }
@@ -117,9 +150,9 @@ func (s *Stash) EvictAppend(dst []block.Block, n tree.Node, max int) []block.Blo
 	}
 	level := s.tr.Level(n)
 	addrs := s.addrScratch[:0]
-	for addr, b := range s.blocks {
-		if s.tr.NodeAt(b.Label, level) == n {
-			addrs = append(addrs, addr)
+	for i := range s.blocks {
+		if s.tr.NodeAt(s.blocks[i].Label, level) == n {
+			addrs = append(addrs, s.blocks[i].Addr)
 		}
 	}
 	s.addrScratch = addrs
@@ -131,8 +164,9 @@ func (s *Stash) EvictAppend(dst []block.Block, n tree.Node, max int) []block.Blo
 		addrs = addrs[:max]
 	}
 	for _, addr := range addrs {
-		dst = append(dst, s.blocks[addr])
-		delete(s.blocks, addr)
+		i := s.index[addr]
+		dst = append(dst, s.blocks[i])
+		s.removeAt(i)
 	}
 	return dst
 }
@@ -178,27 +212,33 @@ func (s *Stash) ResetStats() {
 // ForEach visits all blocks in ascending address order. Used by invariant
 // checkers; controllers should not need it.
 func (s *Stash) ForEach(f func(b block.Block)) {
-	addrs := make([]uint64, 0, len(s.blocks))
-	for a := range s.blocks {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		f(s.blocks[a])
+	sorted := slices.Clone(s.blocks)
+	slices.SortFunc(sorted, func(a, b block.Block) int { return cmp.Compare(a.Addr, b.Addr) })
+	for _, b := range sorted {
+		f(b)
 	}
 }
 
-// Validate checks internal consistency (no dummies, labels in range).
+// Validate checks internal consistency: the index and the slice name the
+// same blocks, and no block is a dummy or has an out-of-range label.
 func (s *Stash) Validate() error {
-	for addr, b := range s.blocks {
-		if b.Addr != addr {
+	if len(s.index) != len(s.blocks) {
+		return fmt.Errorf("stash: index holds %d addresses, slice %d blocks", len(s.index), len(s.blocks))
+	}
+	for addr, i := range s.index {
+		if i < 0 || int(i) >= len(s.blocks) {
+			return fmt.Errorf("stash: index sends %d to position %d of %d", addr, i, len(s.blocks))
+		}
+		if b := s.blocks[i]; b.Addr != addr {
 			return fmt.Errorf("stash: key %d holds block addressed %d", addr, b.Addr)
 		}
+	}
+	for _, b := range s.blocks {
 		if b.IsDummy() {
-			return fmt.Errorf("stash: dummy block stored at %d", addr)
+			return fmt.Errorf("stash: dummy block stored")
 		}
 		if !s.tr.ValidLabel(b.Label) {
-			return fmt.Errorf("stash: block %d has invalid label %d", addr, b.Label)
+			return fmt.Errorf("stash: block %d has invalid label %d", b.Addr, b.Label)
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package stash
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
 	"testing"
 
 	"forkoram/internal/block"
@@ -162,19 +165,29 @@ func TestUnboundedCapacityNeverOverflows(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	s := New(tr(), 10)
-	s.Put(block.Block{Addr: 1, Label: 3})
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	fresh := func() *Stash {
+		s := New(tr(), 10)
+		s.Put(block.Block{Addr: 1, Label: 3})
+		s.Put(block.Block{Addr: 2, Label: 5})
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	s.blocks[2] = block.Block{Addr: 5, Label: 0} // corrupt key
-	if err := s.Validate(); err == nil {
-		t.Fatal("corrupted stash passed validation")
-	}
-	delete(s.blocks, 2)
-	s.blocks[3] = block.Block{Addr: 3, Label: 16} // out-of-range label
-	if err := s.Validate(); err == nil {
-		t.Fatal("invalid label passed validation")
+	for _, c := range []struct {
+		name    string
+		corrupt func(s *Stash)
+	}{
+		{"address disagrees with its key", func(s *Stash) { s.blocks[s.index[2]].Addr = 5 }},
+		{"out-of-range label", func(s *Stash) { s.blocks[s.index[1]].Label = 16 }},
+		{"index and slice disagree", func(s *Stash) { s.blocks = append(s.blocks, block.Block{Addr: 3}) }},
+		{"index points past the slice", func(s *Stash) { s.index[2] = 2 }},
+	} {
+		s := fresh()
+		c.corrupt(s)
+		if err := s.Validate(); err == nil {
+			t.Fatalf("%s: corrupted stash passed validation", c.name)
+		}
 	}
 }
 
@@ -220,4 +233,210 @@ func TestEvictionPreservesInvariantUnderRandomLoad(t *testing.T) {
 			}
 		}
 	})
+}
+
+// refStash is the map-backed stash the dense layout replaced: blocks in
+// a Go map, eviction walking the whole map per bucket. It is kept as the
+// reference the dense stash must match call for call.
+type refStash struct {
+	tr       tree.Tree
+	capacity int
+	blocks   map[uint64]block.Block
+
+	maxOccupancy                         int
+	overflowCount, samples, occupancySum uint64
+}
+
+func (r *refStash) put(b block.Block) {
+	if b.IsDummy() {
+		return
+	}
+	r.blocks[b.Addr] = b
+	if n := len(r.blocks); n > r.maxOccupancy {
+		r.maxOccupancy = n
+	}
+}
+
+func (r *refStash) relabel(addr uint64, label tree.Label) bool {
+	b, ok := r.blocks[addr]
+	if !ok {
+		return false
+	}
+	b.Label = label
+	r.blocks[addr] = b
+	return true
+}
+
+func (r *refStash) evict(n tree.Node, max int) []block.Block {
+	if max <= 0 {
+		return nil
+	}
+	level := r.tr.Level(n)
+	var addrs []uint64
+	for addr, b := range r.blocks {
+		if r.tr.NodeAt(b.Label, level) == n {
+			addrs = append(addrs, addr)
+		}
+	}
+	slices.Sort(addrs)
+	if len(addrs) > max {
+		addrs = addrs[:max]
+	}
+	var out []block.Block
+	for _, addr := range addrs {
+		out = append(out, r.blocks[addr])
+		delete(r.blocks, addr)
+	}
+	return out
+}
+
+func (r *refStash) endAccess() {
+	r.samples++
+	r.occupancySum += uint64(len(r.blocks))
+	if r.capacity > 0 && len(r.blocks) > r.capacity {
+		r.overflowCount++
+	}
+}
+
+func (r *refStash) stats() Stats {
+	st := Stats{MaxOccupancy: r.maxOccupancy, Accesses: r.samples}
+	if r.samples > 0 {
+		st.MeanOccupancy = float64(r.occupancySum) / float64(r.samples)
+		st.OverflowRate = float64(r.overflowCount) / float64(r.samples)
+	}
+	return st
+}
+
+func (r *refStash) sorted() []block.Block {
+	var out []block.Block
+	for _, b := range r.blocks {
+		out = append(out, b)
+	}
+	slices.SortFunc(out, func(a, b block.Block) int { return cmp.Compare(a.Addr, b.Addr) })
+	return out
+}
+
+func sameBlocks(a, b []block.Block) bool {
+	return slices.EqualFunc(a, b, func(x, y block.Block) bool {
+		return x.Addr == y.Addr && x.Label == y.Label && bytes.Equal(x.Data, y.Data)
+	})
+}
+
+// TestDenseMatchesMapReference drives the stash and the map-backed
+// reference through one seeded random sequence of every mutating and
+// reading call over a 12-level tree. Every result, the occupancy, the
+// ForEach order and the statistics must match after each step: the
+// dense layout changes where blocks sit in memory, never which block
+// is evicted into which bucket.
+func TestDenseMatchesMapReference(t *testing.T) {
+	g := tree.MustNew(11)
+	r := rng.New(22)
+	s := New(g, 10)
+	ref := &refStash{tr: g, capacity: 10, blocks: map[uint64]block.Block{}}
+	const addrSpace = 120
+	randBlock := func(step int) block.Block {
+		return block.Block{
+			Addr:  r.Uint64n(addrSpace),
+			Label: tree.Label(r.Uint64n(g.Leaves())),
+			Data:  []byte{byte(step), byte(step >> 8)},
+		}
+	}
+	var dst []block.Block
+	for step := 0; step < 20000; step++ {
+		switch op := r.Intn(7); op {
+		case 0:
+			b := randBlock(step)
+			s.Put(b)
+			ref.put(b)
+		case 1:
+			var bk block.Bucket
+			for i := r.Intn(5); i > 0; i-- {
+				b := randBlock(step)
+				if r.Intn(4) == 0 {
+					b = block.Dummy(2)
+				}
+				bk.Blocks = append(bk.Blocks, b)
+			}
+			s.PutBucket(&bk)
+			for _, b := range bk.Blocks {
+				ref.put(b)
+			}
+		case 2:
+			addr := r.Uint64n(addrSpace)
+			s.Remove(addr)
+			delete(ref.blocks, addr)
+		case 3:
+			addr, label := r.Uint64n(addrSpace), tree.Label(r.Uint64n(g.Leaves()))
+			if got, want := s.Relabel(addr, label), ref.relabel(addr, label); got != want {
+				t.Fatalf("step %d: Relabel(%d) = %v, want %v", step, addr, got, want)
+			}
+		case 4:
+			addr := r.Uint64n(addrSpace)
+			got, ok := s.Get(addr)
+			want, wantOK := ref.blocks[addr]
+			if ok != wantOK || (ok && !sameBlocks([]block.Block{got}, []block.Block{want})) {
+				t.Fatalf("step %d: Get(%d) = %+v %v, want %+v %v", step, addr, got, ok, want, wantOK)
+			}
+		case 5:
+			// One refill: every level of a random path, leaf to root,
+			// into a reused destination as the controllers call it.
+			leaf := tree.Label(r.Uint64n(g.Leaves()))
+			for lvl := int(g.LeafLevel()); lvl >= 0; lvl-- {
+				n, max := g.NodeAt(leaf, uint(lvl)), r.Intn(6)-1
+				dst = s.EvictAppend(dst[:0], n, max)
+				if want := ref.evict(n, max); !sameBlocks(dst, want) {
+					t.Fatalf("step %d: EvictAppend(node %d, max %d) = %v, want %v", step, n, max, dst, want)
+				}
+			}
+		case 6:
+			s.EndAccess()
+			ref.endAccess()
+		}
+		if s.Len() != len(ref.blocks) {
+			t.Fatalf("step %d: Len %d, want %d", step, s.Len(), len(ref.blocks))
+		}
+		if step%100 == 0 {
+			var got []block.Block
+			s.ForEach(func(b block.Block) { got = append(got, b) })
+			if !sameBlocks(got, ref.sorted()) {
+				t.Fatalf("step %d: ForEach visits %v, want %v", step, got, ref.sorted())
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	if got, want := s.Stats(), ref.stats(); got != want {
+		t.Fatalf("Stats %+v, want %+v", got, want)
+	}
+	if st := s.Stats(); st.OverflowRate == 0 {
+		t.Fatalf("sequence never overflowed the capacity (%+v): it does not exercise the accounting", st)
+	}
+}
+
+// BenchmarkEvictPath measures one 12-level refill's eviction over a
+// stash of about 60 resident blocks: an EvictAppend per level, leaf to
+// root, with Z = 4. The evicted blocks go back under fresh labels, as a
+// path read would return them, so the occupancy holds steady.
+func BenchmarkEvictPath(b *testing.B) {
+	g := tree.MustNew(11)
+	r := rng.New(1)
+	s := New(g, 200)
+	for a := uint64(0); a < 60; a++ {
+		s.Put(block.Block{Addr: a, Label: tree.Label(r.Uint64n(g.Leaves())), Data: make([]byte, 1024)})
+	}
+	var dst []block.Block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		leaf := tree.Label(r.Uint64n(g.Leaves()))
+		dst = dst[:0]
+		for lvl := int(g.LeafLevel()); lvl >= 0; lvl-- {
+			dst = s.EvictAppend(dst, g.NodeAt(leaf, uint(lvl)), 4)
+		}
+		for _, blk := range dst {
+			blk.Label = tree.Label(r.Uint64n(g.Leaves()))
+			s.Put(blk)
+		}
+	}
 }

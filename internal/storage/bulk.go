@@ -44,13 +44,14 @@ type BulkBackend interface {
 }
 
 // bulkMinBytes is the per-call plaintext volume below which bulk calls
-// run serially: goroutine handoff costs more than the AES work it would
-// spread for tiny geometries. Package variable so tests can force the
+// run serially: starting a helper goroutine costs more than the AES work
+// it would take over for tiny geometries. Package variable so tests can force the
 // parallel branch.
 var bulkMinBytes = 4096
 
 // SetBulkWorkers bounds the goroutines used by ReadBuckets and
-// WriteBuckets: 0 (the default) means one per available CPU, 1 forces
+// WriteBuckets, the calling goroutine included (it claims buckets beside
+// n-1 helpers): 0 (the default) means one per available CPU, 1 forces
 // serial execution, and any other value is used as given.
 func (m *Mem) SetBulkWorkers(n int) { m.bulkWorkers = n }
 

@@ -299,3 +299,35 @@ func TestBulkWorkersOneMatchesPerBucketPath(t *testing.T) {
 		t.Fatalf("bulk-serial writes counted %d, want %d", c.BucketWrites, 2*len(ns))
 	}
 }
+
+// BenchmarkMemReadBuckets measures one bulk read of eight sealed
+// 4,160-byte buckets (Z = 4, 1 KiB payloads, two real blocks each), the
+// shape of a path-segment fetch: Open and decode fan out across the
+// bulk workers, the caller among them.
+func BenchmarkMemReadBuckets(b *testing.B) {
+	tr := tree.MustNew(11)
+	geo := block.Geometry{Z: 4, PayloadSize: 1024}
+	m, err := NewMem(tr, geo, make([]byte, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ns := tr.Path(0, nil)[:8]
+	bks := make([]block.Bucket, len(ns))
+	for i := range bks {
+		for j := 0; j < 2; j++ {
+			data := bytes.Repeat([]byte{byte(i + j)}, geo.PayloadSize)
+			bks[i].Blocks = append(bks[i].Blocks, block.Block{Addr: uint64(2*i + j), Data: data})
+		}
+	}
+	if err := m.WriteBuckets(ns, bks); err != nil {
+		b.Fatal(err)
+	}
+	out := make([]block.Bucket, len(ns))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.ReadBuckets(ns, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

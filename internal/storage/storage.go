@@ -110,7 +110,7 @@ type Mem struct {
 
 	ptBuf []byte // plaintext staging buffer, reused by every per-bucket read and write
 
-	bulkWorkers int        // ReadBuckets/WriteBuckets fan-out (0 = GOMAXPROCS, 1 = serial)
+	bulkWorkers int        // ReadBuckets/WriteBuckets fan-out, caller included (0 = GOMAXPROCS, 1 = serial)
 	rdMu        sync.Mutex // serializes bulk reads (owns rdPt/rdCt for the call)
 	wrMu        sync.Mutex // serializes bulk writes (owns wrPt/wrCt for the call)
 	rdPt        [][]byte   // per-slot plaintext staging for bulk reads
