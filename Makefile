@@ -39,17 +39,17 @@ paper:
 # faults, one supervised Service, a sharded fleet, an online reshard),
 # fixed seed so failures replay exactly. Every schedule decodes its index
 # into one combination of the topology's dimensions (variant, medium,
-# decorator, pipeline depth, fault menu, kill focus), so 1000 schedules
-# sweep every combination many times over. Exits non-zero on any lost
-# acknowledged write, silent corruption or untyped failure.
+# decorator, fault menu, kill focus), so 1000 schedules sweep every
+# combination many times over. Exits non-zero on any lost acknowledged
+# write, silent corruption or untyped failure.
 chaos:
 	$(GO) run ./cmd/forksim -campaign all -seed 1 -schedules 1000
 
 # Reduced sweep for CI smoke: every combination at least once.
 chaos-smoke:
 	$(GO) run ./cmd/forksim -campaign all -seed 1 -schedules 100
-	# Race-checked pass, one per single combination: pipeline serve
-	# workers race the run loop, and mid-serve kills land inside them.
+	# Race-checked pass, two per single combination: clients race the
+	# run loop, and the run loop consults the kill plan.
 	$(GO) run -race ./cmd/forksim -campaign single -seed 3 -schedules 36
 
 # Offline scrub-and-repair demo: builds a disk-backed device, injects

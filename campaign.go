@@ -110,7 +110,6 @@ type schedule struct {
 	noRetries bool
 	medium    int // mediumMem, mediumDisk, mediumDiskTier
 	decorator int // decoPlain, decoIntegrity, decoFaults
-	depth     int
 	focus     ReshardCrashPoint
 }
 
@@ -146,7 +145,6 @@ func decodeSchedule(topo Topology, seed uint64, idx int) schedule {
 		s.tuple = append(s.tuple, names[d])
 		return d
 	}
-	depths := []int{1, 4}
 	s.variant = Variant(pick("baseline", "fork"))
 	switch topo {
 	case TopologyDevice:
@@ -155,10 +153,8 @@ func decodeSchedule(topo Topology, seed uint64, idx int) schedule {
 	case TopologySingle, TopologySharded:
 		s.medium = pick("mem", "disk", "disk+tier")
 		s.decorator = pick("plain", "integrity", "faults")
-		s.depth = depths[pick("depth-1", "depth-4")]
 	case TopologyReshard:
 		s.decorator = pick("plain", "integrity")
-		s.depth = depths[pick("depth-1", "depth-4")]
 		var points []string
 		for p := 0; p < numReshardPoints; p++ {
 			points = append(points, ReshardCrashPoint(p).String())
@@ -709,12 +705,11 @@ func (st *campaign) retire(svc *Service) {
 func (st *campaign) serviceConfig() ServiceConfig {
 	s := st.sched
 	dev := DeviceConfig{
-		Blocks:        st.blocks,
-		BlockSize:     campaignBlockSize,
-		QueueSize:     4,
-		Seed:          rng.SeedAt(s.seed, 3),
-		Variant:       s.variant,
-		PipelineDepth: s.depth,
+		Blocks:    st.blocks,
+		BlockSize: campaignBlockSize,
+		QueueSize: 4,
+		Seed:      rng.SeedAt(s.seed, 3),
+		Variant:   s.variant,
 	}
 	switch s.decorator {
 	case decoIntegrity:
@@ -759,8 +754,10 @@ func (st *campaign) serviceConfig() ServiceConfig {
 // after a kill the next one is armed soon, so crashes that land while
 // the previous one is being healed are common. A single service is a
 // one-shard fleet whose plan holds the whole budget; across a fleet the
-// budget is shared. mu serializes consultations: the pipelined engine's
-// serve workers and writebacks consult concurrently with the run loop.
+// budget is shared. mu guards the plan's state: a shard's successive
+// incarnations consult it from different goroutines (each one's run
+// loop, and the cold start whose journal reopen may truncate a torn
+// tail), and the report reads its hit counts after the fleet closes.
 type killPlan struct {
 	mu     sync.Mutex
 	wl     *rng.Source
@@ -1176,8 +1173,8 @@ func (t *singleRun) start(st *campaign) {
 func (t *singleRun) tick(*campaign, int) {}
 
 // heal reopens over the surviving stores. Close first joins the dead
-// incarnation's run loop and pipelined session: none of its writebacks
-// may land after the next incarnation restores the shared medium.
+// incarnation's run loop: none of its bucket writes may land after the
+// next incarnation restores the shared medium.
 func (t *singleRun) heal(st *campaign, err error) bool {
 	if !errors.Is(err, errKilled) {
 		return false

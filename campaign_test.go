@@ -10,11 +10,9 @@ import (
 // chaos` / forksim -campaign all run the full sweeps). Each sweep runs
 // once per test binary: TestCampaign checks the contract every topology
 // shares, and the tests after it check one topology's coverage claims
-// against the same report. single runs four passes: its rarest kill
-// sites take a few kills in the whole sweep (mid-compaction 3,
-// mid-pipeline 5–10, mid-scrub 8, mid-serve 7–11 over 40 runs), and
-// the pipelined ones land differently from run to run with the serve
-// workers' interleaving.
+// against the same report. single runs eight passes over its 18
+// combinations: its rarest kill sites take a few kills in the whole
+// sweep (mid-compaction 3 and mid-scrub 10 in each of 20 runs).
 var tier1 = map[Topology]*tier1Sweep{
 	TopologyDevice:  {cfg: CampaignConfig{Seed: 1, Topology: TopologyDevice, Schedules: 24}},
 	TopologySingle:  {cfg: CampaignConfig{Seed: 0xc0ffee, Topology: TopologySingle, Schedules: 144}},

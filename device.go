@@ -93,12 +93,12 @@ type DeviceConfig struct {
 	// Exceeding it is recorded in Stats, not fatal.
 	StashCapacity int
 	// QueueSize is the Fork variant's label queue size (default 8).
-	// Large queues pay off under Batch or pipelined use, where many real
-	// requests pend. A lone synchronous request does not compete with
-	// the queue: it replaces the pending dummy of the previous
-	// operation's held access (see Device). Only the second and later
-	// requests of one operation still compete with queue dummies on
-	// overlap, for O(QueueSize) accesses at worst.
+	// Large queues pay off under Batch use, where many real requests
+	// pend. A lone synchronous request does not compete with the queue:
+	// it replaces the pending dummy of the previous operation's held
+	// access (see Device). Only the second and later requests of one
+	// operation still compete with queue dummies on overlap, for
+	// O(QueueSize) accesses at worst.
 	QueueSize int
 	// Key is the 16-byte AES key sealing buckets. Nil derives an
 	// all-zero key (fine for experiments; supply your own otherwise).
@@ -129,24 +129,6 @@ type DeviceConfig struct {
 	// with Integrity enabled (payload-only corruption is invisible to
 	// the plaintext plausibility checks).
 	Faults *faults.Config
-	// PipelineDepth bounds the in-flight accesses of the intra-shard
-	// pipeline (DESIGN.md §15): during a Batch of more than one operation
-	// on the Fork variant over a bulk medium, up to PipelineDepth accesses
-	// are in flight at once — path fetches, stash phases and refill
-	// writebacks run on PipelineDepth workers each, with dependency
-	// tracking keeping every dependent pair in program order and
-	// PipelineDepth-1 refills queued behind the writes in flight. The
-	// pipelined session lives inside one Batch: it closes before the
-	// access that serves the Batch's last request, which runs serially
-	// and is held open like every operation's last access (see Device).
-	// Depth <= 1 (the default) is the serial engine. Results,
-	// snapshots, and the public access sequence are identical at every
-	// depth — the schedule is deterministic and the pipeline only moves
-	// already-public traffic in time. Process-local tuning: not
-	// serialized in snapshots, re-applied from the host device on
-	// restore, and inert under the Integrity or Faults decorators (whose
-	// per-bucket semantics pin the serial path).
-	PipelineDepth int
 	// Storage selects and shapes the storage tiers under the controller:
 	// a durable disk medium instead of the default in-memory one, a
 	// simulated remote tier with latency/transients plus its retry
@@ -222,9 +204,6 @@ type DeviceStats struct {
 	Stash         stash.Stats
 	// PathLength is the number of buckets on a full path (L+1).
 	PathLength uint
-	// Pipeline counts the intra-shard pipeline's work and per-stage
-	// stalls (zero unless PipelineDepth > 1 engaged on some batch).
-	Pipeline pathoram.PipelineStats
 	// Storage reports the storage-tier layers' activity (zero-valued
 	// for layers not configured).
 	Storage StorageStats
@@ -275,22 +254,6 @@ type Device struct {
 	scrubCursor uint64
 	scrubStats  storage.ScrubStats
 
-	// midBatchKill, when set, is polled between accesses of a pipelined
-	// batch — after access N's refill entered writeback, before access
-	// N+1's fetch is consumed. Returning true aborts the batch with
-	// errKilled (crash-chaos hook modelling a shard dying mid-window).
-	midBatchKill func() bool
-
-	// midServeKill, when set, is polled by the pipeline's serve workers
-	// before each access's stash phase (so the kill lands while other
-	// accesses are genuinely in flight). A non-nil error aborts the batch
-	// with it (crash-chaos hook modelling a shard dying mid-serve).
-	midServeKill func() error
-
-	// sessionOpen marks an open pipelined session. It never outlives
-	// the Batch that opened it.
-	sessionOpen bool
-
 	// held is the Fork access that served the previous operation's last
 	// request: begun but not refilled, so its pending dummy stays
 	// replaceable (see the Device doc). Nil when no access is held; a
@@ -301,18 +264,6 @@ type Device struct {
 	// public operation, so a second goroutine entering mid-operation gets
 	// ErrConcurrentAccess instead of corrupting stash/position-map state.
 	busy atomic.Int32
-}
-
-// endSession closes the pipelined session: drain the in-flight
-// writebacks, join the stage workers, and surface any latched error. A
-// non-nil return means evicted blocks were lost and the caller must
-// poison.
-func (d *Device) endSession() error {
-	if !d.sessionOpen {
-		return nil
-	}
-	d.sessionOpen = false
-	return d.ctl.StopPipeline()
 }
 
 // enter acquires the single-goroutine guard; leave releases it.
@@ -749,32 +700,15 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 	next := 0
 	admit := func() {
 		for next < len(ops) && d.eng.CanEnqueue() {
-			i := next
-			op := ops[i]
+			i, op := next, ops[next]
 			old, _, nl := d.pos.Remap(op.Addr)
 			pop := pathoram.OpRead
 			if op.Write {
 				pop = pathoram.OpWrite
 			}
-			data := op.Data
-			newLabel := nl
-			addr := op.Addr
-			it := &fork.Item{ID: d.nextID + 1, Addr: addr, OldLabel: old, NewLabel: newLabel}
+			it := &fork.Item{ID: d.nextID + 1, Addr: op.Addr, OldLabel: old, NewLabel: nl}
 			it.Serve = func() error {
-				// Pipelined session: record the stash work on the
-				// in-flight access instead of executing it here; the
-				// result lands via the callback when the access's turn
-				// executes. pendingCount still falls NOW — the engine's
-				// admission arithmetic must not depend on worker timing.
-				if d.ctl.DeferServe(pop, addr, newLabel, data, func(o []byte, _ error) {
-					if !op.Write {
-						results[i] = o
-					}
-				}) {
-					pendingCount--
-					return nil
-				}
-				o, err := d.ctl.FetchBlock(pop, addr, newLabel, data)
+				o, err := d.ctl.FetchBlock(pop, op.Addr, nl, op.Data)
 				if !op.Write {
 					results[i] = o
 				}
@@ -787,7 +721,7 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 				// queued), and the queue is full. Undo the remap, so the
 				// retry reads the path the block is on; Set cannot fail
 				// on a label the map itself drew.
-				_ = d.pos.Set(addr, old)
+				_ = d.pos.Set(op.Addr, old)
 				break
 			}
 			d.nextID++
@@ -804,9 +738,6 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 	// pending dummy, so the held refill merges with it.
 	admit()
 	err := d.release()
-	if err == nil && len(ops) > 1 && d.cfg.PipelineDepth > 1 {
-		err = d.batchPipelined(ops, admit, &pendingCount, &next)
-	}
 	if err == nil {
 		err = d.drive(func() bool { return pendingCount == 0 && next == len(ops) },
 			admit, 64*(len(ops)+d.cfg.QueueSize))
@@ -816,77 +747,6 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 		return nil, err
 	}
 	return results, nil
-}
-
-// batchPipelined drains a batch through a pipelined session up to the
-// access that serves its last request, which the caller then runs
-// serially and holds: a pipelined access returns its result only once
-// committed, after its refill. The drive loop is the serial loop —
-// Begin, then Complete (the WriteStep refill and Finish) — with two
-// pipeline hooks added at the stage boundaries: CommitAccess seals the
-// finished access into the stage (cross-checked against the engine's
-// reported footprint), and Prefetch (after admission, when the engine
-// has committed its next schedule entry) starts fetching the next path.
-// The engine runs serially here and serves are only recorded
-// (DeferServe); the stage executes them on its workers and fires the
-// Observer at retire time, in program order. The admission cadence —
-// one admit() sweep after every completed access — matches the serial
-// loop exactly, so the engine sees the same queue states and emits the
-// same schedule at every depth. The session is closed on return, on
-// every path.
-func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next *int) (err error) {
-	ok, err := d.ctl.StartPipelineOpts(pathoram.PipelineOpts{
-		Depth:    d.cfg.PipelineDepth,
-		Observer: d.cfg.Observer,
-		Kill:     d.midServeKill,
-	})
-	if err != nil || !ok {
-		return err
-	}
-	d.sessionOpen = true
-	defer func() {
-		if serr := d.endSession(); err == nil {
-			err = serr
-		}
-	}()
-	// more reports whether the next Begin does not serve the batch's last
-	// request: requests remain to admit, or besides the committed pending
-	// entry one is outstanding.
-	more := func() bool {
-		return *next < len(ops) || *pendingCount > 1 || *pendingCount == 1 && !d.eng.PendingReal()
-	}
-	for guard := 0; more(); guard++ {
-		if guard > 64*(len(ops)+d.cfg.QueueSize) {
-			return fmt.Errorf("forkoram: batch failed to drain (engine bug)")
-		}
-		a, err := d.eng.Begin()
-		if err != nil {
-			return err
-		}
-		if err := d.eng.Complete(a); err != nil {
-			return err
-		}
-		deps := d.eng.LastDeps()
-		if err := d.ctl.CommitAccess(pathoram.AccessDeps{
-			Key:      deps.Key,
-			Label:    deps.Label,
-			ReadFrom: deps.ReadFrom,
-			Stop:     deps.Stop,
-			Dummy:    deps.Dummy,
-		}); err != nil {
-			return err
-		}
-		admit()
-		if d.midBatchKill != nil && d.midBatchKill() {
-			return errKilled
-		}
-		if more() {
-			if label, from, ok := d.eng.NextScheduled(); ok && from <= d.tr.LeafLevel() {
-				d.ctl.Prefetch(label, from)
-			}
-		}
-	}
-	return nil
 }
 
 // BatchOp is one operation of a Batch.
@@ -928,7 +788,6 @@ func (d *Device) Stats() DeviceStats {
 		Writes:     d.writes,
 		Stash:      d.ctl.Stash().Stats(),
 		PathLength: d.tr.Levels(),
-		Pipeline:   d.ctl.PipelineStats(),
 	}
 	c := d.store.Counters()
 	st.BucketReads, st.BucketWrites = c.BucketReads, c.BucketWrites

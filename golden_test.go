@@ -17,11 +17,9 @@ import (
 // the serve path's mechanics (bucket encoding, stash layout, bulk
 // fan-out) must not move a single stored byte.
 //
-// Only the serial engine at PipelineDepth 1 is pinned. At depth 2 and
-// above, and under Baseline, a refill's buckets go out in one bulk
-// write whose seals run in parallel, so which bucket draws which nonce
-// varies from run to run; the plaintext does not, and
-// TestPipelineDepthTraceEquivalence checks that.
+// Only the Fork variant is pinned. Under Baseline a refill's buckets go
+// out in one bulk write whose seals run in parallel, so which bucket
+// draws which nonce varies from run to run.
 func TestStoredBytesGolden(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -38,7 +36,7 @@ func TestStoredBytesGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DeviceConfig{Blocks: 1024, BlockSize: 64, Variant: Fork, Seed: 22,
-				Integrity: tc.integrity, PipelineDepth: 1}
+				Integrity: tc.integrity}
 			if tc.disk {
 				cfg.Storage.Medium = diskFixture(t, cfg)
 			}

@@ -9,6 +9,50 @@ import (
 	"forkoram/internal/rng"
 )
 
+// obsTrace records the adversary-visible access sequence reported by a
+// device's Observer: labels, dummy flags, and full bucket sequences.
+type obsTrace struct {
+	labels []uint64
+	dummy  []bool
+	reads  [][]uint64
+	writes [][]uint64
+}
+
+func (o *obsTrace) hook() func(label uint64, dummy bool, r, w []uint64) {
+	return func(label uint64, dummy bool, r, w []uint64) {
+		o.labels = append(o.labels, label)
+		o.dummy = append(o.dummy, dummy)
+		o.reads = append(o.reads, append([]uint64(nil), r...))
+		o.writes = append(o.writes, append([]uint64(nil), w...))
+	}
+}
+
+func (o *obsTrace) equal(p *obsTrace) error {
+	if len(o.labels) != len(p.labels) {
+		return fmt.Errorf("access counts diverged: %d vs %d", len(o.labels), len(p.labels))
+	}
+	for i := range o.labels {
+		if o.labels[i] != p.labels[i] || o.dummy[i] != p.dummy[i] {
+			return fmt.Errorf("access %d header diverged: (%d,%v) vs (%d,%v)",
+				i, o.labels[i], o.dummy[i], p.labels[i], p.dummy[i])
+		}
+		if len(o.reads[i]) != len(p.reads[i]) || len(o.writes[i]) != len(p.writes[i]) {
+			return fmt.Errorf("access %d bucket counts diverged", i)
+		}
+		for j := range o.reads[i] {
+			if o.reads[i][j] != p.reads[i][j] {
+				return fmt.Errorf("access %d read bucket %d diverged", i, j)
+			}
+		}
+		for j := range o.writes[i] {
+			if o.writes[i][j] != p.writes[i][j] {
+				return fmt.Errorf("access %d write bucket %d diverged", i, j)
+			}
+		}
+	}
+	return nil
+}
+
 // holdStream drives a seeded stream through a raw Fork device over the
 // in-memory medium: single reads and writes, batches whose addresses
 // repeat, calls that often start at an address the previous call
@@ -16,13 +60,13 @@ import (
 // held refill. Every result is checked against a map oracle, and the
 // Stats operation counts against the stream; the stream ends with a
 // Snapshot, so the returned trace covers every access.
-func holdStream(t *testing.T, depth, queue int) (*obsTrace, *Device) {
+func holdStream(t *testing.T, queue int) (*obsTrace, *Device) {
 	t.Helper()
 	const blocks, blockSize = 48, 16
 	tr := &obsTrace{}
 	d, err := NewDevice(DeviceConfig{
 		Blocks: blocks, BlockSize: blockSize, Variant: Fork, Seed: 13,
-		QueueSize: queue, PipelineDepth: depth, Observer: tr.hook(),
+		QueueSize: queue, Observer: tr.hook(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +79,7 @@ func holdStream(t *testing.T, depth, queue int) (*obsTrace, *Device) {
 			want = make([]byte, blockSize)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("depth %d queue %d: %s of %d read %x, want %x", depth, queue, what, addr, got, want)
+			t.Fatalf("queue %d: %s of %d read %x, want %x", queue, what, addr, got, want)
 		}
 	}
 	src := rng.New(77)
@@ -100,42 +144,29 @@ func holdStream(t *testing.T, depth, queue int) (*obsTrace, *Device) {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.Reads != reads || st.Writes != writes {
-		t.Fatalf("depth %d queue %d: Stats counts %d reads, %d writes; the stream issued %d, %d",
-			depth, queue, st.Reads, st.Writes, reads, writes)
+		t.Fatalf("queue %d: Stats counts %d reads, %d writes; the stream issued %d, %d",
+			queue, st.Reads, st.Writes, reads, writes)
 	}
 	return tr, d
 }
 
 // TestHeldRefillOracleAndTrace pins the held refill: at every queue size
-// the stream reads its writes back, each depth's bus trace is a valid
-// Fork Path trace (reads and writes are exactly the overlap suffixes of
-// the label sequence), and the pipelined depths emit the serial
-// device's trace exactly.
+// the stream reads its writes back, and its bus trace is a valid Fork
+// Path trace (reads and writes are exactly the overlap suffixes of the
+// label sequence). The subtest names keep the depth1 segment of the
+// serial engine's rows, so the test ids stay stable.
 func TestHeldRefillOracleAndTrace(t *testing.T) {
 	for _, queue := range []int{1, 2, 8} {
-		var ref *obsTrace
-		for _, depth := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("queue%d/depth%d", queue, depth), func(t *testing.T) {
-				tr, d := holdStream(t, depth, queue)
-				m := adversary.NewMonitor(d.tr)
-				for i := range tr.labels {
-					m.Observe(adversary.Observation{Label: tr.labels[i], ReadNodes: tr.reads[i], WriteNodes: tr.writes[i]})
-				}
-				if err := m.CheckForkConsistency(nil); err != nil {
-					t.Fatal(err)
-				}
-				if depth == 1 {
-					ref = tr
-					return
-				}
-				if d.Stats().Pipeline.Windows == 0 {
-					t.Fatal("no batch pipelined")
-				}
-				if err := ref.equal(tr); err != nil {
-					t.Fatalf("trace diverged from depth 1: %v", err)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("queue%d/depth1", queue), func(t *testing.T) {
+			tr, d := holdStream(t, queue)
+			m := adversary.NewMonitor(d.tr)
+			for i := range tr.labels {
+				m.Observe(adversary.Observation{Label: tr.labels[i], ReadNodes: tr.reads[i], WriteNodes: tr.writes[i]})
+			}
+			if err := m.CheckForkConsistency(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -2,13 +2,48 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/<test>.golden from the tables the tests compute")
+
 // tiny returns options small enough for CI-speed trend checks.
 func tiny() Options {
 	return Options{DataBlocks: 1 << 18, RequestsPerCore: 800, Mixes: 2, Seed: 1}
+}
+
+// golden renders the tables a test computed and compares them byte for
+// byte with testdata/<test>.golden; -update rewrites the file instead.
+// The harness is deterministic at every scale, so any difference is a
+// moved table: the ordering checks state the paper's claims, the
+// golden files pin the numbers behind them.
+func golden(t *testing.T, tabs ...*Table) {
+	t.Helper()
+	var got bytes.Buffer
+	for _, tab := range tabs {
+		if err := tab.Render(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("testdata", t.Name()+".golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test ./internal/bench -update to record it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("table moved from %s (rerun with -update if intended, and say in EXPERIMENTS.md which claim moved):\n--- got ---\n%s--- want ---\n%s",
+			path, got.Bytes(), want)
+	}
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -49,6 +84,7 @@ func TestFig10Trends(t *testing.T) {
 	if tab == nil || len(res) != 9 {
 		t.Fatalf("expected 9 rows (traditional + 8 queue sizes), got %d", len(res))
 	}
+	golden(t, tab)
 	// Baseline is the full path and the longest.
 	base := res[0]
 	if base.QueueSize != 0 || base.NormDRAMLat != 1 {
@@ -70,10 +106,11 @@ func TestFig10Trends(t *testing.T) {
 }
 
 func TestFig11DummiesGrowWithQueue(t *testing.T) {
-	res, _, err := Fig11(tiny())
+	res, tab, err := Fig11(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	for _, r := range res {
 		if r.Norm[128] < r.Norm[1]-0.02 {
 			t.Fatalf("%s: Q=128 total %.3f below Q=1 %.3f", r.Mix, r.Norm[128], r.Norm[1])
@@ -82,10 +119,11 @@ func TestFig11DummiesGrowWithQueue(t *testing.T) {
 }
 
 func TestFig12LatencyImproves(t *testing.T) {
-	res, _, err := Fig12(tiny())
+	res, tab, err := Fig12(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	for _, r := range res {
 		if r.Norm[64] >= 1 {
 			t.Fatalf("%s: Q=64 latency %.3f not below traditional", r.Mix, r.Norm[64])
@@ -98,10 +136,11 @@ func TestFig12LatencyImproves(t *testing.T) {
 }
 
 func TestFig13CachesHelp(t *testing.T) {
-	res, _, err := Fig13(tiny())
+	res, tab, err := Fig13(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	for _, r := range res {
 		if r.Norm["merge only"] >= 1 {
 			t.Fatalf("%s: merge only %.3f not below traditional", r.Mix, r.Norm["merge only"])
@@ -118,10 +157,11 @@ func TestFig13CachesHelp(t *testing.T) {
 }
 
 func TestFig14SlowdownOrdering(t *testing.T) {
-	res, _, err := Fig14(tiny())
+	res, tab, err := Fig14(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	for _, r := range res {
 		trad := r.Slowdown["traditional"]
 		best := r.Slowdown["merge+1M MAC"]
@@ -135,10 +175,11 @@ func TestFig14SlowdownOrdering(t *testing.T) {
 }
 
 func TestFig15EnergyOrdering(t *testing.T) {
-	res, _, err := Fig15(tiny())
+	res, tab, err := Fig15(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	for _, r := range res {
 		if r.Norm["merge+1M MAC"] >= 1 {
 			t.Fatalf("%s: fork energy %.3f not below traditional", r.Mix, r.Norm["merge+1M MAC"])
@@ -149,10 +190,11 @@ func TestFig15EnergyOrdering(t *testing.T) {
 func TestFig16InOrderWorse(t *testing.T) {
 	o := tiny()
 	o.Mixes = 1
-	res, _, err := Fig16(o)
+	res, tab, err := Fig16(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	for _, r := range res {
 		if r.InOrderDummyFrac <= r.OoODummyFrac {
 			t.Fatalf("%s: in-order dummy fraction %.3f <= OoO %.3f",
@@ -164,10 +206,11 @@ func TestFig16InOrderWorse(t *testing.T) {
 func TestFig17aMoreThreadsHelp(t *testing.T) {
 	o := tiny()
 	o.Mixes = 1
-	res, _, err := Fig17a(o)
+	res, tab, err := Fig17a(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	if len(res) != 4 {
 		t.Fatalf("rows %d want 4", len(res))
 	}
@@ -180,10 +223,11 @@ func TestFig17bPathGrowsWithSize(t *testing.T) {
 	o := tiny()
 	o.Mixes = 1
 	o.RequestsPerCore = 500
-	res, _, err := Fig17b(o)
+	res, tab, err := Fig17b(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	for i := 1; i < len(res); i++ {
 		if res[i].PathLen <= res[i-1].PathLen {
 			t.Fatalf("path length not growing with ORAM size: %+v", res)
@@ -198,10 +242,11 @@ func TestFig17bPathGrowsWithSize(t *testing.T) {
 func TestFig18FewerChannelsBiggerWin(t *testing.T) {
 	o := tiny()
 	o.Mixes = 1
-	res, _, err := Fig18(o)
+	res, tab, err := Fig18(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	if len(res) != 3 {
 		t.Fatalf("rows %d want 3", len(res))
 	}
@@ -215,10 +260,11 @@ func TestFig18FewerChannelsBiggerWin(t *testing.T) {
 func TestFig19ParsecImproves(t *testing.T) {
 	o := tiny()
 	o.RequestsPerCore = 600
-	res, _, err := Fig19(o)
+	res, tab, err := Fig19(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	if len(res) < 8 {
 		t.Fatalf("only %d PARSEC workloads", len(res))
 	}
@@ -236,25 +282,33 @@ func TestFig19ParsecImproves(t *testing.T) {
 func TestAblations(t *testing.T) {
 	o := tiny()
 	o.Mixes = 1
-	if res, _, err := AblationDummyReplace(o); err != nil {
-		t.Fatal(err)
-	} else if res[1].Dummies < res[0].Dummies {
-		t.Fatalf("disabling replacement reduced dummies: %+v", res)
-	}
-	if res, _, err := AblationScheduling(o); err != nil {
-		t.Fatal(err)
-	} else if res[1].LatencyNS <= res[0].LatencyNS {
-		t.Fatalf("Q=1 (%.0f) not slower than Q=64 (%.0f)", res[1].LatencyNS, res[0].LatencyNS)
-	}
-	if _, _, err := AblationAging(o); err != nil {
+	dummy, dummyTab, err := AblationDummyReplace(o)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := AblationLayout(o); err != nil {
+	if dummy[1].Dummies < dummy[0].Dummies {
+		t.Fatalf("disabling replacement reduced dummies: %+v", dummy)
+	}
+	sched, schedTab, err := AblationScheduling(o)
+	if err != nil {
 		t.Fatal(err)
-	} else if res[1].ActsPerAcc <= res[0].ActsPerAcc {
+	}
+	if sched[1].LatencyNS <= sched[0].LatencyNS {
+		t.Fatalf("Q=1 (%.0f) not slower than Q=64 (%.0f)", sched[1].LatencyNS, sched[0].LatencyNS)
+	}
+	_, agingTab, err := AblationAging(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, layoutTab, err := AblationLayout(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout[1].ActsPerAcc <= layout[0].ActsPerAcc {
 		t.Fatalf("flat layout (%.2f acts/access) not above subtree (%.2f)",
-			res[1].ActsPerAcc, res[0].ActsPerAcc)
+			layout[1].ActsPerAcc, layout[0].ActsPerAcc)
 	}
+	golden(t, dummyTab, schedTab, agingTab, layoutTab)
 }
 
 func TestRunByName(t *testing.T) {
@@ -283,6 +337,7 @@ func TestStashStudyTrends(t *testing.T) {
 	if tab == nil || len(res) != 9 {
 		t.Fatalf("expected 9 points, got %d", len(res))
 	}
+	golden(t, tab)
 	byKey := map[[2]int]StashStudyResult{}
 	for _, r := range res {
 		byKey[[2]int{r.Z, int(r.Utilization * 100)}] = r
@@ -301,10 +356,11 @@ func TestStashStudyTrends(t *testing.T) {
 func TestTimingAblation(t *testing.T) {
 	o := tiny()
 	o.Mixes = 1
-	res, _, err := AblationTiming(o)
+	res, tab, err := AblationTiming(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	// Slower slots must not reduce latency.
 	if res[len(res)-1].NormLat < res[0].NormLat {
 		t.Fatalf("2x pacing reduced latency: %+v", res)
@@ -314,10 +370,11 @@ func TestTimingAblation(t *testing.T) {
 func TestSuperBlockAblation(t *testing.T) {
 	o := tiny()
 	o.RequestsPerCore = 600
-	res, _, err := AblationSuperBlock(o)
+	res, tab, err := AblationSuperBlock(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, tab)
 	// Streaming S=8 must beat streaming S=1 on execution time.
 	if res[3].NormLat >= res[0].NormLat {
 		t.Fatalf("super blocks did not help streaming: %+v", res[:4])

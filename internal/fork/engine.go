@@ -78,7 +78,6 @@ type Access struct {
 	WriteNodes []tree.Node
 
 	writeLevel int  // next level to write (descending); -1 when finished
-	readFrom   uint // first level the read phase touched (L+1 = fully merged)
 	inWrite    bool // at least one WriteStep taken, even one that wrote nothing
 	finished   bool
 }
@@ -414,7 +413,6 @@ func (e *Engine) Begin() (*Access, error) {
 	if e.cfg.MergeEnabled && e.havePrev {
 		readFrom = e.tr.Overlap(e.prevLabel, cur.label)
 	}
-	acc.readFrom = readFrom
 	var err error
 	if readFrom <= e.tr.LeafLevel() {
 		acc.ReadNodes, err = e.ctl.ReadRange(cur.label, readFrom, acc.ReadNodes)
@@ -525,64 +523,6 @@ func (e *Engine) Handle() (label tree.Label, levels uint, ok bool) {
 		return 0, 0, true
 	}
 	return e.prevLabel, uint(e.acc.writeLevel + 1), true
-}
-
-// NextScheduled reveals the next access's path — its label and the first
-// level its read phase will touch — once the schedule has committed to
-// it, so a pipelined driver can prefetch the path while this goroutine is
-// still between accesses. The ok result is true only in the window
-// between Finish and the next Begin: Finish reveals the fork point,
-// after which dummy-request replacement can no longer swap the pending
-// entry (Enqueue's replacement branch requires an in-flight access), so
-// label and fromLevel are exactly what Begin will compute.
-//
-// Security: the revealed label is the same label the adversary observes
-// moments later when the access runs; a deterministic schedule means
-// prefetching it early moves traffic in time but adds no information.
-func (e *Engine) NextScheduled() (label tree.Label, fromLevel uint, ok bool) {
-	if !e.pendingRevealed || e.pending == nil || e.hasCurrent {
-		return 0, 0, false
-	}
-	if e.cfg.MergeEnabled && e.havePrev {
-		fromLevel = e.tr.Overlap(e.prevLabel, e.pending.label)
-	}
-	return e.pending.label, fromLevel, true
-}
-
-// Deps is the dependency footprint of one completed access: everything a
-// concurrent serve stage needs to decide whether two in-flight accesses
-// commute. Label plus the [ReadFrom, L] read range and [Stop, L] write
-// range fix the access's tree-node sets and its stash-eviction
-// eligibility window; Key is the per-address program-ordering key (0 for
-// dummies). Two accesses A (older) and B with o = Overlap(A.Label,
-// B.Label) are node-disjoint and stash-commutative when o <= min of all
-// four range bounds and neither access's relabeled blocks can enter the
-// other's eviction window — the scheduling rule internal/pathoram's
-// concurrent stage enforces (DESIGN.md §15).
-type Deps struct {
-	Key      uint64 // ordering key of the served item; 0 for dummies
-	Label    tree.Label
-	ReadFrom uint // first level read; L+1 when the read was fully merged
-	Stop     uint // first level NOT written; L+1 when nothing was written
-	Dummy    bool
-}
-
-// LastDeps reports the dependency footprint of the most recently
-// finished access. Valid only in the window between Finish and the next
-// Begin (the same window as NextScheduled); the values describe the
-// access whose Finish most recently completed.
-func (e *Engine) LastDeps() Deps {
-	a := &e.acc
-	d := Deps{
-		Label:    a.Label,
-		ReadFrom: a.readFrom,
-		Stop:     uint(a.writeLevel + 1),
-		Dummy:    a.Item == nil,
-	}
-	if a.Item != nil {
-		d.Key = a.Item.OrderKey()
-	}
-	return d
 }
 
 // Run executes one whole access synchronously (read, serve, full refill).

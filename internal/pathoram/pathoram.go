@@ -15,7 +15,6 @@ package pathoram
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"forkoram/internal/block"
 	"forkoram/internal/posmap"
@@ -89,19 +88,6 @@ type Controller struct {
 	bulk       storage.BulkBackend
 	bucketsBuf []block.Bucket  // bulk-read results / bulk-write staging
 	evictBufs  [][]block.Block // per-level eviction scratch for bulk writes
-
-	// cs is non-nil while a pipelined session is open
-	// (StartPipelineOpts..StopPipeline): ReadRange/WriteLevel/DeferServe
-	// then only *record* the access and CommitAccess hands it to the
-	// dependency-tracked scheduler. pipeStats accumulates counters across
-	// completed windows.
-	cs        *cserve
-	pipeStats PipelineStats
-	// seamStart is the wall-clock instant the last pipelined window
-	// completed (StopPipeline); the next window's first fetch issue
-	// consumes it into WindowTurnaround* (see noteFirstFetch). Zero when
-	// no seam is pending.
-	seamStart time.Time
 
 	retryStats RetryStats
 }
@@ -215,13 +201,6 @@ func (c *Controller) ReadRange(label tree.Label, fromLevel uint, dst []tree.Node
 	if c.err != nil {
 		return dst, c.err
 	}
-	if c.cs != nil {
-		dst, err := c.cs.readRange(label, fromLevel, dst)
-		if err != nil {
-			c.err = err // a prefetch mismatch is an engine bug: fail-stop
-		}
-		return dst, err
-	}
 	if c.bulk != nil {
 		return c.readRangeBulk(label, fromLevel, dst)
 	}
@@ -334,9 +313,6 @@ func (c *Controller) WriteLevel(label tree.Label, level uint) (tree.Node, error)
 	if c.err != nil {
 		return 0, c.err
 	}
-	if c.cs != nil {
-		return c.cs.writeLevel(label, level)
-	}
 	n := c.tr.NodeAt(label, level)
 	c.evictBuf = c.stash.EvictAppend(c.evictBuf[:0], n, c.z)
 	bk := block.Bucket{Blocks: c.evictBuf}
@@ -355,13 +331,6 @@ func (c *Controller) FetchBlock(op Op, addr uint64, newLabel tree.Label, data []
 	if c.err != nil {
 		return nil, c.err
 	}
-	return c.applyFetch(op, addr, newLabel, data)
-}
-
-// applyFetch is the stash-side core of FetchBlock, free of controller
-// error-state reads so the pipelined serve stage's workers can run it
-// under the stash lock (errors are latched by the scheduler instead).
-func (c *Controller) applyFetch(op Op, addr uint64, newLabel tree.Label, data []byte) ([]byte, error) {
 	if addr == block.DummyAddr {
 		return nil, fmt.Errorf("pathoram: reserved address")
 	}
@@ -395,59 +364,8 @@ func (c *Controller) applyFetch(op Op, addr uint64, newLabel tree.Label, data []
 	return out, nil
 }
 
-// DeferServe registers one request's stash work (the FetchBlock of Step
-// 4) on the access currently being recorded by the pipelined serve
-// stage, instead of executing it now. done is invoked with FetchBlock's
-// results when the access's turn executes on a serve worker (program
-// order per address is preserved by the dependency scheduler). It
-// reports false — and does nothing — when no pipelined session is
-// open; the caller then performs FetchBlock itself.
-func (c *Controller) DeferServe(op Op, addr uint64, newLabel tree.Label, data []byte, done func([]byte, error)) bool {
-	if c.cs == nil {
-		return false
-	}
-	c.cs.deferServe(op, addr, newLabel, data, done)
-	return true
-}
-
-// AccessDeps is the engine-reported dependency footprint of a finished
-// access (see fork.Deps), cross-checked by CommitAccess against what the
-// pipelined stage recorded — a tripwire for schedule divergence.
-type AccessDeps struct {
-	Key      uint64
-	Label    tree.Label
-	ReadFrom uint
-	Stop     uint
-	Dummy    bool
-}
-
-// CommitAccess seals the access currently being recorded by the
-// pipelined serve stage and hands it to the dependency-tracked
-// scheduler. Call once per access, after the engine's Finish. It returns
-// any error a stage has latched so far (the drive loop's poll point).
-// No-op outside a pipelined session.
-func (c *Controller) CommitAccess(deps AccessDeps) error {
-	if c.cs == nil {
-		return nil
-	}
-	if err := c.cs.commit(deps); err != nil {
-		if c.err == nil {
-			c.err = err
-		}
-		return err
-	}
-	return nil
-}
-
-// EndAccess records stash statistics for one completed request. Inside
-// a pipelined session the sample is deferred to the access's
-// program-order retire (the stash is worker-owned mid-window).
-func (c *Controller) EndAccess() {
-	if c.cs != nil {
-		return
-	}
-	c.stash.EndAccess()
-}
+// EndAccess records stash statistics for one completed request.
+func (c *Controller) EndAccess() { c.stash.EndAccess() }
 
 // Err returns the first fatal error, if any.
 func (c *Controller) Err() error { return c.err }

@@ -4,21 +4,11 @@
 package prof
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
-
-// Stage runs f with the pprof label oram_stage=name attached to the
-// calling goroutine, so CPU and goroutine profiles attribute time per
-// pipeline stage (`go tool pprof -tagfocus oram_stage=...`). Spawn a
-// labelled worker with `go prof.Stage("fetch", worker)`. The label is
-// removed when f returns.
-func Stage(name string, f func()) {
-	pprof.Do(context.Background(), pprof.Labels("oram_stage", name), func(context.Context) { f() })
-}
 
 // StartCPU begins a CPU profile written to path; path == "" disables
 // profiling. The returned stop function (never nil) flushes and closes

@@ -21,15 +21,8 @@
 // # Concurrency contract
 //
 // The stash itself is single-threaded: no method takes a lock, and no
-// method may be called concurrently with any other. Callers that run
-// accesses in flight together (the concurrent serve/evict stage,
-// internal/pathoram/concurrent.go) must serialize every whole stash
-// phase — the fetch-merge (PutBucket), serve (Get/Put/Relabel/Remove),
-// evict (EvictAppend), and EndAccess of one access — under one external
-// mutex, and order those phases so each access observes the stash state
-// its dependency analysis assumed. The stash never sees partial
-// interleavings; it only requires that call sequences arrive in a
-// serializable order.
+// method may be called concurrently with any other. A controller owns
+// its stash and runs its accesses one after another on one goroutine.
 package stash
 
 import (

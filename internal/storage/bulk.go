@@ -24,8 +24,9 @@ import (
 // the per-bucket path.
 //
 // Concurrency: any number of ReadBuckets and WriteBuckets calls may run
-// concurrently, provided reader/writer node sets are pairwise disjoint
-// (the pathoram pipeline's hazard tracking enforces this).
+// concurrently, provided reader/writer node sets are pairwise disjoint.
+// The controller issues one bulk call at a time, so the only
+// concurrency in tree is a bulk call's own fan-out.
 // Implementations serialize same-kind calls internally (their staging
 // buffers are per-kind), so concurrent same-kind callers are safe but
 // may queue; tiers stacked above the staging (Remote latency, Retry

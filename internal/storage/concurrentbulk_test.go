@@ -9,10 +9,10 @@ import (
 	"forkoram/internal/tree"
 )
 
-// TestConcurrentDisjointBulk exercises the concurrent bulk contract the
-// pathoram pipeline relies on: one goroutine bulk-reading and one
-// bulk-writing, always over disjoint node sets, with per-bucket traffic
-// interleaved from the writer side. Run under -race this pins the
+// TestConcurrentDisjointBulk exercises the concurrent bulk contract
+// (see Mem): one goroutine bulk-reading and one bulk-writing, always
+// over disjoint node sets, with per-bucket traffic interleaved from the
+// writer side. Run under -race this pins the
 // staged locking in ReadBuckets/WriteBuckets (snapshot/claim under mu,
 // crypto outside, publish under mu) and the per-role scratch split.
 func TestConcurrentDisjointBulk(t *testing.T) {
@@ -28,8 +28,7 @@ func TestConcurrentDisjointBulk(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Split the tree in two static halves: the writer owns the low
-			// nodes, the reader the high ones — disjoint by construction,
-			// like a prefetch path vs. the previous access's refill.
+			// nodes, the reader the high ones — disjoint by construction.
 			half := tree.Node(tr.Nodes() / 2)
 			var wrNs, rdNs []tree.Node
 			for n := tree.Node(0); n < tree.Node(tr.Nodes()); n++ {
@@ -63,8 +62,8 @@ func TestConcurrentDisjointBulk(t *testing.T) {
 						errs <- err
 						return
 					}
-					// Interleave per-bucket traffic (the pipeline's serve
-					// stage does the same while workers run).
+					// Interleave per-bucket traffic with the bulk
+					// calls.
 					if _, err := m.ReadBucket(wrNs[r%len(wrNs)]); err != nil {
 						errs <- err
 						return

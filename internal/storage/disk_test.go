@@ -253,8 +253,8 @@ func TestDiskBulkMinBytesBoundary(t *testing.T) {
 }
 
 // TestDiskConcurrentDisjointBulk runs one bulk reader and one bulk
-// writer over disjoint node sets concurrently — the pipeline's access
-// pattern — under the race detector.
+// writer over disjoint node sets concurrently — the concurrent bulk
+// contract — under the race detector.
 func TestDiskConcurrentDisjointBulk(t *testing.T) {
 	forceBulkParallel(t)
 	d := newDisk(t)

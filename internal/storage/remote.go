@@ -77,8 +77,9 @@ func (s *RemoteStats) Add(o RemoteStats) {
 // BulkBackend — a bulk call pays one round trip, which is exactly the
 // economics that make batch-first storage win against a remote tier.
 //
-// Concurrency: safe for the pipeline's one-reader-one-writer pattern;
-// the rng and stats are guarded by mu, latency is slept outside it.
+// Concurrency: safe for one concurrent bulk reader and writer (the
+// concurrent bulk contract); the rng and stats are guarded by mu,
+// latency is slept outside it.
 // One Float64 is drawn per call regardless of configuration so fault
 // schedules are a pure function of (seed, call index).
 type Remote struct {

@@ -93,13 +93,14 @@ type Medium interface {
 // write. Buckets never written are implicitly all-dummy.
 //
 // Concurrent bulk contract: at most one ReadBuckets and one WriteBuckets
-// call may run concurrently, and only over DISJOINT node sets (the
-// pathoram pipeline's hazard tracking guarantees this). mu guards the
-// ciphertext map and the counters; the crypto work itself runs outside
-// the lock over per-role staging (read vs. write), so a prefetch decrypt
-// genuinely overlaps a writeback encrypt. The per-bucket methods hold mu
-// for their whole body and may interleave with either bulk call under
-// the same disjointness rule.
+// call may run concurrently, and only over DISJOINT node sets. The
+// controller issues one bulk call at a time, so the only concurrency in
+// tree is a bulk call's own fan-out. mu guards the ciphertext map and
+// the counters; the crypto work itself runs outside the lock over
+// per-role staging (read vs. write), so a read's decrypt can overlap a
+// concurrent write's encrypt. The per-bucket methods hold mu for their
+// whole body and may interleave with either bulk call under the same
+// disjointness rule.
 type Mem struct {
 	tr   tree.Tree
 	geo  block.Geometry

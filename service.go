@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"forkoram/internal/pathoram"
 	"forkoram/internal/rng"
 	"forkoram/internal/storage"
 	"forkoram/internal/tree"
@@ -221,15 +220,6 @@ const (
 	// MemStore.CrashTruncate hook rather than the Service crashHook (the
 	// Service is not running yet), but reported like any other site.
 	CrashMidCompaction
-	// CrashMidPipeline: inside a pipelined dispatch window, between two
-	// accesses — the finished access's refill has entered the writeback
-	// stage (possibly not yet on the medium) and the next access's path
-	// may already be prefetched. The window's group is durable in the
-	// journal but unacknowledged; replay must reconstruct it over a
-	// medium holding an arbitrary prefix of the window's writebacks.
-	// Consulted only when the intra-shard pipeline engages
-	// (DeviceConfig.PipelineDepth > 1 on a multi-op window).
-	CrashMidPipeline
 	// CrashMidBucketWrite: inside the disk store's frame write — after
 	// the write was issued but before the full frame landed, so the slot
 	// may hold the old frame, the new frame, or a torn prefix of it
@@ -242,16 +232,7 @@ const (
 	// any frame is audited — the scrub cadence counter is already reset,
 	// so recovery must not depend on scrub progress for correctness.
 	CrashMidScrub
-	// CrashMidServe: on a pipeline serve worker, before one
-	// in-flight access's stash phase — other accesses of the window may
-	// be mid-fetch, mid-serve, or mid-writeback on sibling workers when
-	// the kill lands. The window's group is durable but unacknowledged;
-	// replay must reconstruct it over a medium holding an arbitrary
-	// subset of the window's completed writebacks. Consulted only when
-	// the intra-shard pipeline engages (DeviceConfig.PipelineDepth > 1
-	// on a multi-op window).
-	CrashMidServe
-	numCrashPoints = int(CrashMidServe) + 1
+	numCrashPoints = int(CrashMidScrub) + 1
 )
 
 // String implements fmt.Stringer.
@@ -269,14 +250,10 @@ func (p CrashPoint) String() string {
 		return "mid-restore"
 	case CrashMidCompaction:
 		return "mid-compaction"
-	case CrashMidPipeline:
-		return "mid-pipeline"
 	case CrashMidBucketWrite:
 		return "mid-bucket-write"
 	case CrashMidScrub:
 		return "mid-scrub"
-	case CrashMidServe:
-		return "mid-serve"
 	}
 	return fmt.Sprintf("point(%d)", int(p))
 }
@@ -460,11 +437,13 @@ type ServiceStats struct {
 	// GroupSizes histograms the window sizes into buckets of
 	// 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65–128, and 129+ requests.
 	GroupSizes [9]uint64
-	// Pipeline aggregates the intra-shard pipeline's work and per-stage
-	// stall counters (fetch-wait, evict-wait, writeback-wait) across
-	// every device this service has owned, recoveries included. Zero
-	// unless DeviceConfig.PipelineDepth > 1 engaged on some window.
-	Pipeline pathoram.PipelineStats
+	// Pipeline is always zero: nothing writes it since the pipelined
+	// access engine was removed.
+	//
+	// Deprecated: it remains only for the pathoram.stall_ms and
+	// pathoram.seam_us metrics of perfbench, which read it and so also
+	// read zero. It goes when they do.
+	Pipeline PipelineStats
 	// Storage aggregates the storage-tier counters (RAM tier, remote,
 	// retry, scrub) across every device this service has owned,
 	// recoveries included. Zero unless DeviceConfig.Storage configures
@@ -472,6 +451,31 @@ type ServiceStats struct {
 	Storage StorageStats
 	// State is the serving state at the time of the call.
 	State ServiceState
+}
+
+// PipelineStats is the type of the deprecated ServiceStats.Pipeline,
+// which is always zero.
+type PipelineStats struct {
+	FetchWaitNs        uint64
+	EvictWaitNs        uint64
+	WritebackWaitNs    uint64
+	ServeWaitNs        uint64
+	DepWaitNs          uint64
+	WindowTurnarounds  uint64
+	WindowTurnaroundNs uint64
+}
+
+// Delta returns s - prev.
+func (s PipelineStats) Delta(prev PipelineStats) PipelineStats {
+	return PipelineStats{
+		FetchWaitNs:        s.FetchWaitNs - prev.FetchWaitNs,
+		EvictWaitNs:        s.EvictWaitNs - prev.EvictWaitNs,
+		WritebackWaitNs:    s.WritebackWaitNs - prev.WritebackWaitNs,
+		ServeWaitNs:        s.ServeWaitNs - prev.ServeWaitNs,
+		DepWaitNs:          s.DepWaitNs - prev.DepWaitNs,
+		WindowTurnarounds:  s.WindowTurnarounds - prev.WindowTurnarounds,
+		WindowTurnaroundNs: s.WindowTurnaroundNs - prev.WindowTurnaroundNs,
+	}
 }
 
 // groupSizeBucket maps a window size to its GroupSizes histogram slot.
@@ -549,9 +553,8 @@ type Service struct {
 
 	// logMu serializes journal-store access with killed()'s hook
 	// consultation: the chaos harness's kill hook tears the store
-	// buffer, and the pipelined session's serve workers and writebacks
-	// (which outlive the Batch that issued them) consult it while the
-	// run loop appends and syncs. No holder of logMu may call killed().
+	// buffer, which must not interleave with an append, a sync or a
+	// truncation. No holder of logMu may call killed().
 	logMu sync.Mutex
 
 	// Worker-owned (no locking): the device, journal, and checkpoint
@@ -561,11 +564,10 @@ type Service struct {
 	log        *wal.Log
 	ckptSeq    uint64
 	sinceCkpt  int
-	recoveries int                    // consecutive, reset by a committed checkpoint
-	faultEpoch uint64                 // derives a fresh fault seed per restore
-	sinceScrub int                    // acked mutating ops since the last scrub slice
-	pipeSeen   pathoram.PipelineStats // current device's pipeline counters already folded into stats
-	storSeen   StorageStats           // current device's storage counters already folded into stats
+	recoveries int          // consecutive, reset by a committed checkpoint
+	faultEpoch uint64       // derives a fresh fault seed per restore
+	sinceScrub int          // acked mutating ops since the last scrub slice
+	storSeen   StorageStats // current device's storage counters already folded into stats
 
 	// Group-commit scratch, reused every dispatch window so coalescing
 	// allocates nothing in steady state.
@@ -900,7 +902,6 @@ func (s *Service) dispatch(first *svcReq) bool {
 		// dispatch.
 		clear(g)
 	}
-	s.foldPipelineStats()
 	if alive {
 		alive = s.maybeScrub()
 	}
@@ -1129,9 +1130,9 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 			break
 		}
 		if errors.Is(err, errKilled) {
-			// Crash injection struck inside the pipelined window (the
-			// device's mid-batch kill hook): the service dies here, it does
-			// not heal — recovery happens on the next incarnation.
+			// Crash injection struck inside the window (the disk
+			// medium's mid-bucket-write hook): the service dies here, it
+			// does not heal — recovery happens on the next incarnation.
 			s.killGroup(live)
 			return false
 		}
@@ -1475,23 +1476,14 @@ func (s *Service) restoreFrom(ck *Checkpoint, recs []wal.Record) error {
 	return nil
 }
 
-// armDevice installs d as the service's device: the chaos kill hook is
-// wired into the pipelined batch path (so crash injection can strike
-// between the fetch and writeback stages of a dispatch window), and the
-// pipeline-stat high-water mark resets — a fresh device's counters start
-// at zero, while ServiceStats.Pipeline keeps accumulating across
-// replacements.
+// armDevice installs d as the service's device: on a disk medium the
+// chaos kill hook is wired into the frame writes, and the storage-stat
+// high-water mark resets — a fresh device's counters start at zero,
+// while ServiceStats.Storage keeps accumulating across replacements.
 func (s *Service) armDevice(d *Device) {
 	if s.cfg.crashHook != nil {
-		d.midBatchKill = func() bool { return s.killed(CrashMidPipeline) }
-		d.midServeKill = func() error {
-			if s.killed(CrashMidServe) {
-				return errKilled
-			}
-			return nil
-		}
-		// With a disk medium, crash injection can also strike inside a
-		// frame write, optionally leaving a torn (CRC-detectable) tail.
+		// With a disk medium, crash injection can strike inside a frame
+		// write, optionally leaving a torn (CRC-detectable) tail.
 		// The hook lives on the shared Disk handle; assembleDevice clears
 		// it on every new device, so recovery's restore+replay runs
 		// un-killable and arming re-installs it here, after replay.
@@ -1509,29 +1501,12 @@ func (s *Service) armDevice(d *Device) {
 		}
 	}
 	s.dev = d
-	s.pipeSeen = pathoram.PipelineStats{}
 	s.storSeen = StorageStats{}
 }
 
-// foldPipelineStats rolls the device's pipeline counters accumulated
-// since the last fold into the service statistics. Called once per
-// dispatch window (worker goroutine; pipeSeen is worker-owned).
-func (s *Service) foldPipelineStats() {
-	if s.dev == nil {
-		return
-	}
-	cur := s.dev.ctl.PipelineStats()
-	delta := cur.Delta(s.pipeSeen)
-	if delta == (pathoram.PipelineStats{}) {
-		return
-	}
-	s.pipeSeen = cur
-	s.bump(func(t *ServiceStats) { t.Pipeline.Add(delta) })
-}
-
 // foldStorageStats rolls the device's storage-tier counters accumulated
-// since the last fold into the service statistics (same high-water
-// pattern as foldPipelineStats; storSeen is worker-owned).
+// since the last fold into the service statistics. Called once per
+// dispatch window (worker goroutine; storSeen is worker-owned).
 func (s *Service) foldStorageStats() {
 	if s.dev == nil {
 		return
@@ -1599,8 +1574,7 @@ func (s *Service) persistCheckpoint(snap *Snapshot) error {
 
 // killed consults the crash hook at one CrashPoint. The consultation
 // runs under logMu: the chaos harness's hook tears the journal store's
-// buffer at kill time, and pipeline workers consult the hook while the
-// run loop may be using the journal.
+// buffer at kill time.
 func (s *Service) killed(p CrashPoint) bool {
 	if s.cfg.crashHook == nil {
 		return false

@@ -162,6 +162,106 @@ func blockingHook(entered, gate chan struct{}) func(CrashPoint) bool {
 	}
 }
 
+// TestServiceStressOracle hammers a single-shard Service with
+// concurrent clients — singleton writes, reads, and batches racing
+// into group-commit windows — then verifies every acknowledged write
+// against an oracle. Run under -race it races admission against the
+// run loop's window dispatch.
+func TestServiceStressOracle(t *testing.T) {
+	const (
+		blocks    = 64
+		blockSize = 32
+		clients   = 6
+		opsEach   = 30
+	)
+	svc, err := NewService(ServiceConfig{
+		Device: DeviceConfig{
+			Blocks: blocks, BlockSize: blockSize, Variant: Fork,
+			Seed: 11, QueueSize: 8,
+		},
+		QueueDepth:      32,
+		CheckpointEvery: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	ctx := context.Background()
+	// Each client owns a disjoint address range, so per-address program
+	// order is per-client and the oracle needs no cross-client ordering.
+	oracles := make([]map[uint64][]byte, clients)
+	var wg sync.WaitGroup
+	errCh := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			oracle := make(map[uint64][]byte)
+			oracles[c] = oracle
+			lo := uint64(c) * blocks / clients
+			hi := uint64(c+1) * blocks / clients
+			src := rng.New(uint64(1000 + c))
+			for op := 0; op < opsEach; op++ {
+				switch src.Uint64n(3) {
+				case 0:
+					addr := lo + src.Uint64n(hi-lo)
+					data := bytes.Repeat([]byte{byte(c*50 + op)}, blockSize)
+					if err := svc.Write(ctx, addr, data); err != nil {
+						errCh <- fmt.Errorf("client %d write: %w", c, err)
+						return
+					}
+					oracle[addr] = data
+				case 1:
+					addr := lo + src.Uint64n(hi-lo)
+					got, err := svc.Read(ctx, addr)
+					if err != nil {
+						errCh <- fmt.Errorf("client %d read: %w", c, err)
+						return
+					}
+					if want, ok := oracle[addr]; ok && !bytes.Equal(got, want) {
+						errCh <- fmt.Errorf("client %d: addr %d read back wrong data", c, addr)
+						return
+					}
+				default:
+					n := 2 + int(src.Uint64n(4))
+					ops := make([]BatchOp, 0, n)
+					for i := 0; i < n; i++ {
+						addr := lo + src.Uint64n(hi-lo)
+						data := bytes.Repeat([]byte{byte(c*50 + op + i)}, blockSize)
+						ops = append(ops, BatchOp{Addr: addr, Write: true, Data: data})
+					}
+					if _, err := svc.Batch(ctx, ops); err != nil {
+						errCh <- fmt.Errorf("client %d batch: %w", c, err)
+						return
+					}
+					for _, o := range ops {
+						oracle[o.Addr] = o.Data // last write in ops order wins per address
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+
+	// Final read-your-writes sweep over every oracle.
+	for c, oracle := range oracles {
+		for addr, want := range oracle {
+			got, err := svc.Read(ctx, addr)
+			if err != nil {
+				t.Fatalf("final read %d: %v", addr, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("client %d: addr %d lost its last acknowledged write", c, addr)
+			}
+		}
+	}
+}
+
 func TestServiceContextCancellation(t *testing.T) {
 	cfg := testServiceConfig(Fork)
 	cfg.QueueDepth = 2
@@ -545,8 +645,6 @@ func TestCloseVsCommitRace(t *testing.T) {
 	// An acked-then-dropped write or an ack issued after Close returned
 	// are both violations. Each writer owns one address and writes
 	// strictly increasing versions, so "last acked payload" is exact.
-	// Odd rounds run the pipelined engine at depth 4, so Close also
-	// races pipelined windows.
 	rounds := 40
 	if testing.Short() {
 		rounds = 8
@@ -555,18 +653,16 @@ func TestCloseVsCommitRace(t *testing.T) {
 	payload := func(w, v int) []byte {
 		return chaosPayload(16, 0xc105e, uint64(w)<<32|uint64(v))
 	}
-	var pipelined uint64 // windows the depth-4 rounds ran pipelined
 	for round := 0; round < rounds; round++ {
 		walStore := wal.NewMemStore()
 		cks := NewMemCheckpointStore()
 		cfg := ServiceConfig{
 			Device: DeviceConfig{
-				Blocks:        16,
-				BlockSize:     16,
-				QueueSize:     4,
-				Seed:          uint64(round + 1),
-				Variant:       Fork,
-				PipelineDepth: 1 + 3*(round%2),
+				Blocks:    16,
+				BlockSize: 16,
+				QueueSize: 4,
+				Seed:      uint64(round + 1),
+				Variant:   Fork,
 			},
 			QueueDepth:      writers * 2,
 			CheckpointEvery: 5, // commits land mid-race, not just at Close
@@ -613,7 +709,6 @@ func TestCloseVsCommitRace(t *testing.T) {
 			t.Fatalf("round %d: close: %v", round, err)
 		}
 		closeReturned.Store(true)
-		pipelined += svc.Stats().Pipeline.Windows
 		wg.Wait()
 		close(errCh)
 		for err := range errCh {
@@ -647,77 +742,6 @@ func TestCloseVsCommitRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pipelined == 0 {
-		t.Fatal("no depth-4 round ran a pipelined window")
-	}
-}
-
-// TestCrossWindowCloseMidSeam closes a PipelineDepth-4 Service while a
-// burst of writers keeps it running pipelined windows back to back.
-// Close must end cleanly, and every acknowledged write must be present
-// after a reopen from the same journal and checkpoint stores.
-func TestCrossWindowCloseMidSeam(t *testing.T) {
-	walStore := wal.NewMemStore()
-	ckpts := NewMemCheckpointStore()
-	cfg := testServiceConfig(Fork)
-	cfg.Device.QueueSize = 8
-	cfg.Device.PipelineDepth = 4
-	cfg.QueueDepth = 16
-	cfg.WAL = walStore
-	cfg.Checkpoints = ckpts
-	svc, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	const writers, each = 8, 6
-	acked := make([][]uint64, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				addr := uint64(w*each + i)
-				err := svc.Write(ctx, addr, chaosPayload(32, 99, addr))
-				if err == nil {
-					acked[w] = append(acked[w], addr)
-					continue
-				}
-				if !errors.Is(err, ErrClosed) {
-					t.Errorf("writer %d: %v", w, err)
-				}
-				return // closed mid-burst: later writes would also be refused
-			}
-		}(w)
-	}
-	// Let the burst engage the seam, then close into it.
-	time.Sleep(2 * time.Millisecond)
-	if err := svc.Close(); err != nil {
-		t.Fatalf("close mid-seam: %v", err)
-	}
-	wg.Wait()
-
-	// Every acknowledged write must be present in the next incarnation.
-	svc2, err := NewService(cfg)
-	if err != nil {
-		t.Fatalf("reopen after mid-seam close: %v", err)
-	}
-	defer svc2.Close()
-	n := 0
-	for w := range acked {
-		for _, addr := range acked[w] {
-			got, err := svc2.Read(ctx, addr)
-			if err != nil {
-				t.Fatalf("reopened read %d: %v", addr, err)
-			}
-			if !bytes.Equal(got, chaosPayload(32, 99, addr)) {
-				t.Fatalf("acked write %d lost across mid-seam close", addr)
-			}
-			n++
-		}
-	}
-	t.Logf("%d acked writes survived a mid-seam close", n)
 }
 
 // TestServiceFileJournalCrashReopen runs a Service over a file journal

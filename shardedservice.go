@@ -949,5 +949,4 @@ func addStats(dst, src *ServiceStats) {
 	for i := range dst.GroupSizes {
 		dst.GroupSizes[i] += src.GroupSizes[i]
 	}
-	dst.Pipeline.Add(src.Pipeline)
 }

@@ -416,7 +416,6 @@ func UnmarshalSnapshot(data []byte, from *Device) (*Snapshot, error) {
 	s.medium = from.store
 	s.cfg.Observer = from.cfg.Observer
 	s.cfg.Faults = from.cfg.Faults
-	s.cfg.PipelineDepth = from.cfg.PipelineDepth
 	// Storage holds live process-local handles (the medium, remote/retry
 	// shaping); like Observer and Faults it is re-bound from the host
 	// device, never serialized.

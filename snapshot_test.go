@@ -301,19 +301,19 @@ func TestSnapshotWritesOnlyTheForkHandle(t *testing.T) {
 	type stack struct {
 		name            string
 		variant         Variant
-		depth           int
 		integrity, tier bool
 	}
 	var stacks []stack
+	// The Fork rows keep the depth1 segment of the serial engine's
+	// rows in their names, so the test ids stay stable.
 	for _, e := range []struct {
 		name    string
 		variant Variant
-		depth   int
-	}{{"fork/depth1", Fork, 1}, {"fork/depth4", Fork, 4}, {"baseline", Baseline, 1}} {
+	}{{"fork/depth1", Fork}, {"baseline", Baseline}} {
 		for _, integrity := range []bool{false, true} {
 			for _, tier := range []bool{false, true} {
 				name := fmt.Sprintf("%s/integrity=%v/tier=%v", e.name, integrity, tier)
-				stacks = append(stacks, stack{name, e.variant, e.depth, integrity, tier})
+				stacks = append(stacks, stack{name, e.variant, integrity, tier})
 			}
 		}
 	}
@@ -322,7 +322,7 @@ func TestSnapshotWritesOnlyTheForkHandle(t *testing.T) {
 			t.Run(medium+"/"+s.name, func(t *testing.T) {
 				const blocks, blockSize = 64, 16
 				cfg := DeviceConfig{Blocks: blocks, BlockSize: blockSize, Seed: 41, Variant: s.variant,
-					Integrity: s.integrity, PipelineDepth: s.depth}
+					Integrity: s.integrity}
 				var base storage.Medium
 				if medium == "disk" {
 					base = diskFixture(t, cfg)
@@ -415,9 +415,6 @@ func TestSnapshotWritesOnlyTheForkHandle(t *testing.T) {
 				}
 				if len(ckpts) < 5 {
 					t.Fatalf("only %d snapshots in the stream", len(ckpts))
-				}
-				if d.Stats().Pipeline.Windows == 0 && s.depth > 1 && !s.integrity && !s.tier {
-					t.Fatal("no batch pipelined")
 				}
 				if err := d.Scrub(); err != nil {
 					t.Fatal(err)
