@@ -9,9 +9,14 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass: the whole root package (Service concurrency, the
-# admission queue, the crash campaign) plus every internal package.
+# admission queue, the crash campaign) plus every internal package but
+# the paper harness's two. internal/bench runs concurrently only through
+# par.Map, which its TestParallel tests drive, so only they run under
+# the detector; neither internal/sim's code nor its tests start a
+# goroutine, so it is left out.
 race:
-	$(GO) test -race . ./internal/...
+	$(GO) test -race . $(shell $(GO) list ./internal/... | grep -v -e '/internal/bench$$' -e '/internal/sim$$')
+	$(GO) test -race -run TestParallel ./internal/bench
 
 # Allocation counts of one access, then the hot-path benchmarks: bucket
 # encoding, one refill's eviction, a bulk path read, and a 32-op Batch

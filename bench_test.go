@@ -235,9 +235,13 @@ func BenchmarkDeviceOps(b *testing.B) {
 }
 
 // BenchmarkDeviceBatch measures one 32-op Device.Batch on a Mem-backed
-// Fork device at perfbench's batch-1k geometry (4,096 blocks of 1 KiB,
-// serial engine): one iteration is one batch, all reads or all writes in
-// turn, over uniform addresses of a prefilled device.
+// Fork device at perfbench's batch-1k geometry (4,096 blocks of 1 KiB):
+// one iteration is one batch, all reads or all writes in turn, over
+// uniform addresses of a prefilled device. Mem opens and seals every
+// bucket on the calling goroutine, so ns/op is one goroutine's CPU per
+// batch, and allocs/op counts what the serve path still allocates (one
+// cipher.NewCTR stream per bucket moved, the payload copies the batch
+// returns).
 func BenchmarkDeviceBatch(b *testing.B) {
 	const blocks, batch = 4096, 32
 	d, err := NewDevice(DeviceConfig{Blocks: blocks, BlockSize: 1024, Variant: Fork})

@@ -18,8 +18,9 @@ import (
 // fan-out) must not move a single stored byte.
 //
 // Only the Fork variant is pinned. Under Baseline a refill's buckets go
-// out in one bulk write whose seals run in parallel, so which bucket
-// draws which nonce varies from run to run.
+// out in one bulk write, which Disk seals in parallel above
+// bulkMinBytes, so which bucket draws which nonce can vary from run to
+// run.
 func TestStoredBytesGolden(t *testing.T) {
 	cases := []struct {
 		name      string

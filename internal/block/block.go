@@ -142,12 +142,16 @@ func (g Geometry) EncodeBucket(dst []byte, b *Bucket) error {
 }
 
 // DecodeBucket parses a bucket wire image, returning only the real blocks.
-// src must have length g.BucketSize(). Payloads are copied out of src.
-func (g Geometry) DecodeBucket(src []byte) (Bucket, error) {
+// src must have length g.BucketSize(). The blocks are appended to
+// blocks[:0], so a caller that passes room for Z blocks decodes without
+// allocating. Payloads are not copied: each block's Data is a view of its
+// slot in src, capped at the slot's end, so the bucket is valid only while
+// src is, and a holder that keeps a payload must copy it.
+func (g Geometry) DecodeBucket(src []byte, blocks []Block) (Bucket, error) {
 	if len(src) != g.BucketSize() {
 		return Bucket{}, fmt.Errorf("block: src size %d, want %d", len(src), g.BucketSize())
 	}
-	var b Bucket
+	b := Bucket{Blocks: blocks[:0]}
 	stride := EncodedBlockSize(g.PayloadSize)
 	for s := 0; s < g.Z; s++ {
 		off := s * stride
@@ -155,12 +159,10 @@ func (g Geometry) DecodeBucket(src []byte) (Bucket, error) {
 		if addr == DummyAddr {
 			continue
 		}
-		data := make([]byte, g.PayloadSize)
-		copy(data, src[off+headerSize:off+stride])
 		b.Blocks = append(b.Blocks, Block{
 			Addr:  addr,
 			Label: binary.LittleEndian.Uint64(src[off+8:]),
-			Data:  data,
+			Data:  src[off+headerSize : off+stride : off+stride],
 		})
 	}
 	return b, nil

@@ -46,7 +46,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := g.EncodeBucket(wire, &in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.DecodeBucket(wire)
+	out, err := g.DecodeBucket(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestEncodePadsDeterministically(t *testing.T) {
 					t.Fatalf("size %d, %d real: slot %d payload not zeroed", size, real, s)
 				}
 			}
-			out, err := g.DecodeBucket(dst)
+			out, err := g.DecodeBucket(dst, nil)
 			if err != nil || len(out.Blocks) != real {
 				t.Fatalf("size %d, %d real: decoded %d blocks (%v)", size, real, len(out.Blocks), err)
 			}
@@ -133,7 +133,7 @@ func TestEncodeErrors(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	g := geo()
-	if _, err := g.DecodeBucket(make([]byte, 5)); err == nil {
+	if _, err := g.DecodeBucket(make([]byte, 5), nil); err == nil {
 		t.Fatal("short src accepted")
 	}
 }
@@ -144,7 +144,7 @@ func TestEmptyBucketDecodesEmpty(t *testing.T) {
 	if err := g.EncodeBucket(wire, &Bucket{}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.DecodeBucket(wire)
+	out, err := g.DecodeBucket(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +167,47 @@ func TestDummy(t *testing.T) {
 	}
 }
 
+// TestDecodeCopiesPayload pins who copies a decoded payload: not the
+// decoder. Each block's Data is a view of its slot in the wire image,
+// capped at the slot's end so an append through it cannot run into the
+// next slot, and the decode fills the caller's block slice without
+// allocating one. Holders that keep a payload (the stash) copy it.
 func TestDecodeCopiesPayload(t *testing.T) {
 	g := geo()
-	b := Bucket{Blocks: []Block{{Addr: 4, Label: 1, Data: make([]byte, g.PayloadSize)}}}
+	b := Bucket{Blocks: []Block{
+		{Addr: 4, Label: 1, Data: make([]byte, g.PayloadSize)},
+		{Addr: 5, Label: 2, Data: make([]byte, g.PayloadSize)},
+	}}
 	wire := make([]byte, g.BucketSize())
 	if err := g.EncodeBucket(wire, &b); err != nil {
 		t.Fatal(err)
 	}
-	out, _ := g.DecodeBucket(wire)
-	wire[16] = 0xEE // mutate source after decode
-	if out.Blocks[0].Data[0] == 0xEE {
-		t.Fatal("decoded payload aliases the wire buffer")
+	room := make([]Block, 0, g.Z)
+	out, err := g.DecodeBucket(wire, room)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Blocks) != 2 || &out.Blocks[0] != &room[:1][0] {
+		t.Fatal("decoded blocks do not fill the caller's slice")
+	}
+	stride := EncodedBlockSize(g.PayloadSize)
+	for i, blk := range out.Blocks {
+		off := i*stride + headerSize
+		if &blk.Data[0] != &wire[off] {
+			t.Fatalf("block %d payload is not a view of its wire slot", i)
+		}
+		if len(blk.Data) != g.PayloadSize || cap(blk.Data) != g.PayloadSize {
+			t.Fatalf("block %d payload len %d cap %d, want both %d", i, len(blk.Data), cap(blk.Data), g.PayloadSize)
+		}
+	}
+	wire[headerSize] = 0xEE // the view sees a later change to the image
+	if out.Blocks[0].Data[0] != 0xEE {
+		t.Fatal("decoded payload does not alias the wire buffer")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		out, _ = g.DecodeBucket(wire, room)
+	}); allocs != 0 {
+		t.Fatalf("decode into a slice with room for Z blocks allocated %.0f objects", allocs)
 	}
 }
 
@@ -197,7 +227,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := g.EncodeBucket(wire, &in); err != nil {
 			return false
 		}
-		out, err := g.DecodeBucket(wire)
+		out, err := g.DecodeBucket(wire, nil)
 		if err != nil || len(out.Blocks) != k {
 			return false
 		}

@@ -17,7 +17,7 @@ func FuzzDecodeBucket(f *testing.F) {
 	_ = g.EncodeBucket(wire, &full)
 	f.Add(wire)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := g.DecodeBucket(data)
+		b, err := g.DecodeBucket(data, nil)
 		if err != nil {
 			return // wrong size; fine
 		}
@@ -26,7 +26,7 @@ func FuzzDecodeBucket(f *testing.F) {
 		if err := g.EncodeBucket(out, &b); err != nil {
 			t.Fatalf("decoded bucket failed to re-encode: %v", err)
 		}
-		b2, err := g.DecodeBucket(out)
+		b2, err := g.DecodeBucket(out, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

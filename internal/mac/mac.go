@@ -123,7 +123,9 @@ func (t *Treetop) TopLevel() int { return t.topLevel }
 func (t *Treetop) WriteThrough() bool { return t.writeThrough }
 
 // copyBucket deep-copies a bucket, payload bytes included: a cached
-// tier copy must not alias caller-owned buffers that will be reused.
+// copy must not alias caller-owned buffers that will be reused (writes
+// retain nothing, per the storage.Backend contract). Metadata-only
+// buckets have nil payloads, so only their block slice is copied.
 func copyBucket(b *block.Bucket) block.Bucket {
 	cp := block.Bucket{Blocks: append([]block.Block(nil), b.Blocks...)}
 	for i := range cp.Blocks {
@@ -172,8 +174,7 @@ func (t *Treetop) WriteBucket(n tree.Node, b *block.Bucket) error {
 			return nil
 		}
 		t.stats.WriteHits++
-		cp := block.Bucket{Blocks: append([]block.Block(nil), b.Blocks...)}
-		t.pinned[n] = cp
+		t.pinned[n] = copyBucket(b)
 		return nil
 	}
 	t.stats.WriteMisses++
@@ -333,12 +334,10 @@ func (m *MAC) WriteBucket(n tree.Node, b *block.Bucket) error {
 	switch {
 	case lvl >= m.m1 && lvl <= m.m2:
 		m.stats.WriteHits++
-		cp := block.Bucket{Blocks: append([]block.Block(nil), b.Blocks...)}
-		m.pinned[n] = cp
+		m.pinned[n] = copyBucket(b)
 		return nil
 	case m.partial != nil && lvl == m.m2+1:
-		cp := block.Bucket{Blocks: append([]block.Block(nil), b.Blocks...)}
-		evKey, evVal, evicted := m.partial.Put(m.set(m.tr.PositionInLevel(n)), n, cp)
+		evKey, evVal, evicted := m.partial.Put(m.set(m.tr.PositionInLevel(n)), n, copyBucket(b))
 		if evicted {
 			m.stats.WriteMisses++
 			return m.inner.WriteBucket(evKey, &evVal)

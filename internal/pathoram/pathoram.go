@@ -81,10 +81,10 @@ type Controller struct {
 
 	evictBuf []block.Block // scratch for path refills; reused every bucket write
 
-	// bulk is non-nil when the backend supports grouped bucket access
-	// (parallel per-bucket crypto). ReadRange/WriteRange then hand the
-	// whole path segment over in one call; WriteLevel cannot (Fork
-	// Path's dummy-request replacement re-targets between levels).
+	// bulk is non-nil when the backend supports grouped bucket access.
+	// ReadRange/WriteRange then hand the whole path segment over in one
+	// call; WriteLevel cannot (Fork Path's dummy-request replacement
+	// re-targets between levels).
 	bulk       storage.BulkBackend
 	bucketsBuf []block.Bucket  // bulk-read results / bulk-write staging
 	evictBufs  [][]block.Block // per-level eviction scratch for bulk writes
@@ -128,7 +128,7 @@ func NewController(cfg Config, store storage.Backend) (*Controller, error) {
 		tr:      cfg.Tree,
 		z:       geo.Z,
 		store:   store,
-		stash:   stash.New(cfg.Tree, cfg.StashCapacity),
+		stash:   stash.New(cfg.Tree, geo.Z, cfg.StashCapacity),
 		track:   cfg.TrackData,
 		geo:     geo,
 		retries: retries,
@@ -259,10 +259,7 @@ func (c *Controller) WriteRange(label tree.Label, fromLevel uint, dst []tree.Nod
 	}
 	for i := int(c.tr.LeafLevel()); i >= int(fromLevel); i-- {
 		n := c.tr.NodeAt(label, uint(i))
-		c.evictBuf = c.stash.EvictAppend(c.evictBuf[:0], n, c.z)
-		bk := block.Bucket{Blocks: c.evictBuf}
-		if err := c.writeBucket(n, &bk); err != nil {
-			c.err = err
+		if err := c.refill(n); err != nil {
 			return dst, err
 		}
 		dst = append(dst, n)
@@ -274,10 +271,11 @@ func (c *Controller) WriteRange(label tree.Label, fromLevel uint, dst []tree.Nod
 // root, because each EvictAppend consumes stash blocks and the greedy
 // assignment must match the per-bucket loop exactly — then hands all
 // buckets to the backend in one call. Eviction scratch is per level so
-// the planned buckets stay alive until the write lands. On a bulk-write
-// failure the stash has already surrendered the planned blocks, so the
-// controller fail-stops (c.err), exactly the contract a mid-loop
-// per-bucket failure gives the layers above.
+// the planned buckets stay alive until the write lands, and their
+// payloads go back to the stash only then. On a bulk-write failure the
+// stash has already surrendered the planned blocks, so the controller
+// fail-stops (c.err), exactly the contract a mid-loop per-bucket failure
+// gives the layers above.
 func (c *Controller) writeRangeBulk(label tree.Label, fromLevel uint, dst []tree.Node) ([]tree.Node, error) {
 	start := len(dst)
 	levels := int(c.tr.LeafLevel()) - int(fromLevel) + 1
@@ -302,6 +300,9 @@ func (c *Controller) writeRangeBulk(label tree.Label, fromLevel uint, dst []tree
 		c.err = err
 		return dst[:start], err
 	}
+	for i := range bks {
+		c.stash.Recycle(bks[i].Blocks)
+	}
 	return dst, nil
 }
 
@@ -314,13 +315,24 @@ func (c *Controller) WriteLevel(label tree.Label, level uint) (tree.Node, error)
 		return 0, c.err
 	}
 	n := c.tr.NodeAt(label, level)
+	if err := c.refill(n); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// refill writes bucket n with the eligible stash blocks, greedily, and
+// hands their payloads back to the stash once the write has landed. A
+// failed write fail-stops the controller.
+func (c *Controller) refill(n tree.Node) error {
 	c.evictBuf = c.stash.EvictAppend(c.evictBuf[:0], n, c.z)
 	bk := block.Bucket{Blocks: c.evictBuf}
 	if err := c.writeBucket(n, &bk); err != nil {
 		c.err = err
-		return 0, err
+		return err
 	}
-	return n, nil
+	c.stash.Recycle(c.evictBuf)
+	return nil
 }
 
 // FetchBlock performs Step 4 for one request: locates the block in the

@@ -18,6 +18,20 @@
 // the eligible blocks by ascending address. Nothing the stash returns
 // depends on the slice's order: eviction and ForEach both sort.
 //
+// # Payload ownership
+//
+// Every payload a resident block holds belongs to the stash, except the
+// shared read-only block.ZeroPayload of a never-written block. Put takes
+// ownership of the block it is given. PutBucket copies each payload,
+// because a bucket read from storage views the backend's staging, valid
+// only until its next call. Eviction hands a block and its payload to
+// the caller, who writes it to a bucket and then hands the payload back
+// with Recycle, once the write has landed; PutBucket copies into such
+// recycled buffers before it allocates, and a resident replaced by
+// PutBucket is recycled too. The free list holds at most one path's
+// worth of buffers, (L+1)·Z, the most one refill can hand back, so
+// buffers that outnumber the steady state go to the garbage collector.
+//
 // # Concurrency contract
 //
 // The stash itself is single-threaded: no method takes a lock, and no
@@ -43,18 +57,23 @@ type Stash struct {
 
 	addrScratch []uint64 // reused by EvictAppend
 
+	free    [][]byte // recycled payload buffers, reused by PutBucket
+	freeCap int      // bound on len(free): (L+1)·Z
+
 	maxOccupancy  int
 	overflowCount uint64
 	samples       uint64
 	occupancySum  uint64
 }
 
-// New creates a stash for the given tree geometry. capacity is the
-// paper's C (e.g. 200 blocks); occupancy beyond it after an access is
-// counted as an overflow event rather than a hard failure, matching how
-// stash overflow probability is studied in the Path ORAM literature.
-func New(tr tree.Tree, capacity int) *Stash {
-	return &Stash{tr: tr, capacity: capacity, index: make(map[uint64]int32)}
+// New creates a stash for the given tree geometry and bucket capacity z.
+// capacity is the paper's C (e.g. 200 blocks); occupancy beyond it after
+// an access is counted as an overflow event rather than a hard failure,
+// matching how stash overflow probability is studied in the Path ORAM
+// literature.
+func New(tr tree.Tree, z, capacity int) *Stash {
+	return &Stash{tr: tr, capacity: capacity, index: make(map[uint64]int32),
+		freeCap: int(tr.Levels()) * z}
 }
 
 // Get returns the block with the given address, if present.
@@ -66,7 +85,8 @@ func (s *Stash) Get(addr uint64) (block.Block, bool) {
 	return s.blocks[i], true
 }
 
-// Put inserts or replaces a block. Dummy blocks are never stored.
+// Put inserts or replaces a block, taking ownership of b.Data. Dummy
+// blocks are never stored.
 func (s *Stash) Put(b block.Block) {
 	if b.IsDummy() {
 		return
@@ -82,12 +102,65 @@ func (s *Stash) Put(b block.Block) {
 	}
 }
 
-// PutBucket inserts every real block of a bucket.
+// PutBucket inserts every real block of a bucket read from storage,
+// copying each payload into a buffer the stash owns. A block that
+// replaces a resident (the last put wins) recycles the resident's
+// buffer. Blocks without a payload (metadata-only backends) are stored
+// as they are.
 func (s *Stash) PutBucket(bk *block.Bucket) {
 	for _, b := range bk.Blocks {
+		if b.IsDummy() {
+			continue
+		}
+		if i, ok := s.index[b.Addr]; ok {
+			s.recycle(s.blocks[i].Data)
+		}
+		if len(b.Data) > 0 {
+			b.Data = s.copyPayload(b.Data)
+		}
 		s.Put(b)
 	}
 }
+
+// copyPayload copies p into a recycled buffer, or a new one when none
+// fits.
+func (s *Stash) copyPayload(p []byte) []byte {
+	var buf []byte
+	if n := len(s.free); n > 0 {
+		buf = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	}
+	if cap(buf) < len(p) {
+		buf = make([]byte, len(p))
+	}
+	buf = buf[:len(p)]
+	copy(buf, p)
+	return buf
+}
+
+// Recycle hands back the payloads of blocks that left the stash through
+// EvictAppend, once the bucket write holding them has landed: a failed
+// write keeps them, because its retry writes the same blocks. The
+// caller must hold no other reference to the payloads.
+func (s *Stash) Recycle(blocks []block.Block) {
+	for i := range blocks {
+		s.recycle(blocks[i].Data)
+	}
+}
+
+// recycle puts one payload buffer on the free list, unless it is absent
+// or the shared zero payload, or the list is full.
+func (s *Stash) recycle(p []byte) {
+	if cap(p) == 0 || block.AliasesZero(p) || len(s.free) >= s.freeCap {
+		return
+	}
+	s.free = append(s.free, p)
+}
+
+// FreeBuffers returns how many recycled payload buffers the stash holds
+// for reuse.
+func (s *Stash) FreeBuffers() int { return len(s.free) }
 
 // Remove deletes the block with the given address, if present.
 func (s *Stash) Remove(addr uint64) {
@@ -213,7 +286,10 @@ func (s *Stash) ForEach(f func(b block.Block)) {
 }
 
 // Validate checks internal consistency: the index and the slice name the
-// same blocks, and no block is a dummy or has an out-of-range label.
+// same blocks, no block is a dummy or has an out-of-range label, and
+// payload ownership holds: no two residents share a payload buffer, no
+// free buffer is still a resident's, the free list holds no zero
+// payload, and it stays within its bound.
 func (s *Stash) Validate() error {
 	if len(s.index) != len(s.blocks) {
 		return fmt.Errorf("stash: index holds %d addresses, slice %d blocks", len(s.index), len(s.blocks))
@@ -232,6 +308,37 @@ func (s *Stash) Validate() error {
 		}
 		if !s.tr.ValidLabel(b.Label) {
 			return fmt.Errorf("stash: block %d has invalid label %d", b.Addr, b.Label)
+		}
+	}
+	if len(s.free) > s.freeCap {
+		return fmt.Errorf("stash: %d free buffers, bound %d", len(s.free), s.freeCap)
+	}
+	owner := make(map[*byte]string, len(s.blocks)+len(s.free))
+	claim := func(p []byte, who string) error {
+		if cap(p) == 0 {
+			return nil
+		}
+		first := &p[:1][0]
+		if prev, dup := owner[first]; dup {
+			return fmt.Errorf("stash: %s and %s share a payload buffer", prev, who)
+		}
+		owner[first] = who
+		return nil
+	}
+	for _, b := range s.blocks {
+		if block.AliasesZero(b.Data) {
+			continue // never-written blocks share the read-only zero payload
+		}
+		if err := claim(b.Data, fmt.Sprintf("block %d", b.Addr)); err != nil {
+			return err
+		}
+	}
+	for i, p := range s.free {
+		if block.AliasesZero(p) {
+			return fmt.Errorf("stash: free buffer %d is the shared zero payload", i)
+		}
+		if err := claim(p, fmt.Sprintf("free buffer %d", i)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -14,7 +14,7 @@ import (
 func tr() tree.Tree { return tree.MustNew(4) }
 
 func TestPutGetRemove(t *testing.T) {
-	s := New(tr(), 10)
+	s := New(tr(), 4, 10)
 	s.Put(block.Block{Addr: 7, Label: 3})
 	if b, ok := s.Get(7); !ok || b.Label != 3 {
 		t.Fatalf("Get = (%+v,%v)", b, ok)
@@ -26,7 +26,7 @@ func TestPutGetRemove(t *testing.T) {
 }
 
 func TestPutReplaces(t *testing.T) {
-	s := New(tr(), 10)
+	s := New(tr(), 4, 10)
 	s.Put(block.Block{Addr: 1, Label: 2})
 	s.Put(block.Block{Addr: 1, Label: 9})
 	if s.Len() != 1 {
@@ -38,7 +38,7 @@ func TestPutReplaces(t *testing.T) {
 }
 
 func TestDummiesNeverStored(t *testing.T) {
-	s := New(tr(), 10)
+	s := New(tr(), 4, 10)
 	s.Put(block.Dummy(8))
 	if s.Len() != 0 {
 		t.Fatal("dummy stored in stash")
@@ -50,7 +50,7 @@ func TestDummiesNeverStored(t *testing.T) {
 }
 
 func TestRelabel(t *testing.T) {
-	s := New(tr(), 10)
+	s := New(tr(), 4, 10)
 	s.Put(block.Block{Addr: 4, Label: 0})
 	if !s.Relabel(4, 13) {
 		t.Fatal("Relabel missed present block")
@@ -65,7 +65,7 @@ func TestRelabel(t *testing.T) {
 
 func TestEvictForSelectsOnlyEligible(t *testing.T) {
 	g := tr() // L = 4, leaves 0..15
-	s := New(g, 100)
+	s := New(g, 4, 100)
 	// Labels 0..15; bucket at level 1 on path-0 is node 1, covering labels 0..7.
 	for l := uint64(0); l < 16; l++ {
 		s.Put(block.Block{Addr: l, Label: l})
@@ -87,7 +87,7 @@ func TestEvictForSelectsOnlyEligible(t *testing.T) {
 
 func TestEvictForHonorsMax(t *testing.T) {
 	g := tr()
-	s := New(g, 100)
+	s := New(g, 4, 100)
 	for a := uint64(0); a < 10; a++ {
 		s.Put(block.Block{Addr: a, Label: 0})
 	}
@@ -106,7 +106,7 @@ func TestEvictForHonorsMax(t *testing.T) {
 func TestEvictDeterministicOrder(t *testing.T) {
 	g := tr()
 	run := func() []uint64 {
-		s := New(g, 100)
+		s := New(g, 4, 100)
 		for _, a := range []uint64{9, 3, 14, 1, 6} {
 			s.Put(block.Block{Addr: a, Label: 0})
 		}
@@ -132,7 +132,7 @@ func TestEvictDeterministicOrder(t *testing.T) {
 }
 
 func TestOverflowAccounting(t *testing.T) {
-	s := New(tr(), 2)
+	s := New(tr(), 4, 2)
 	s.Put(block.Block{Addr: 1, Label: 0})
 	s.EndAccess() // occupancy 1 <= 2
 	s.Put(block.Block{Addr: 2, Label: 0})
@@ -154,7 +154,7 @@ func TestOverflowAccounting(t *testing.T) {
 }
 
 func TestUnboundedCapacityNeverOverflows(t *testing.T) {
-	s := New(tr(), 0)
+	s := New(tr(), 4, 0)
 	for a := uint64(0); a < 100; a++ {
 		s.Put(block.Block{Addr: a, Label: 0})
 	}
@@ -166,9 +166,12 @@ func TestUnboundedCapacityNeverOverflows(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	fresh := func() *Stash {
-		s := New(tr(), 10)
-		s.Put(block.Block{Addr: 1, Label: 3})
-		s.Put(block.Block{Addr: 2, Label: 5})
+		s := New(tr(), 4, 10)
+		s.Put(block.Block{Addr: 1, Label: 3, Data: make([]byte, 8)})
+		s.Put(block.Block{Addr: 2, Label: 5, Data: make([]byte, 8)})
+		s.Put(block.Block{Addr: 3, Label: 6, Data: block.ZeroPayload(8)})
+		s.Put(block.Block{Addr: 4, Label: 7, Data: block.ZeroPayload(8)})
+		s.Recycle([]block.Block{{Data: make([]byte, 8)}})
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -182,6 +185,14 @@ func TestValidate(t *testing.T) {
 		{"out-of-range label", func(s *Stash) { s.blocks[s.index[1]].Label = 16 }},
 		{"index and slice disagree", func(s *Stash) { s.blocks = append(s.blocks, block.Block{Addr: 3}) }},
 		{"index points past the slice", func(s *Stash) { s.index[2] = 2 }},
+		{"two residents share a payload", func(s *Stash) { s.blocks[s.index[2]].Data = s.blocks[s.index[1]].Data }},
+		{"a free buffer is a resident's", func(s *Stash) { s.free = append(s.free, s.blocks[s.index[1]].Data) }},
+		{"the zero payload is free", func(s *Stash) { s.free = append(s.free, block.ZeroPayload(8)) }},
+		{"free list beyond its bound", func(s *Stash) {
+			for len(s.free) <= s.freeCap {
+				s.free = append(s.free, make([]byte, 8))
+			}
+		}},
 	} {
 		s := fresh()
 		c.corrupt(s)
@@ -191,8 +202,55 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestPutBucketOwnsPayloads pins the payload ownership rules: a bucket
+// read from storage is copied (the source may be overwritten right
+// after), recycled buffers are reused before anything is allocated, a
+// replaced resident's buffer is recycled, the shared zero payload never
+// reaches the free list, and the list stops at one path's worth,
+// (L+1)·Z buffers.
+func TestPutBucketOwnsPayloads(t *testing.T) {
+	s := New(tr(), 4, 10) // L = 4, Z = 4: at most 20 free buffers
+	staging := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	s.PutBucket(&block.Bucket{Blocks: []block.Block{{Addr: 1, Label: 3, Data: staging[0:4:4]}}})
+	copy(staging, []byte{9, 9, 9, 9})
+	if b, _ := s.Get(1); !bytes.Equal(b.Data, []byte{1, 2, 3, 4}) {
+		t.Fatalf("stashed payload %v changed with its source", b.Data)
+	}
+
+	recycled := make([]byte, 4)
+	s.Recycle([]block.Block{{Data: recycled}, {Data: block.ZeroPayload(4)}, {}})
+	if s.FreeBuffers() != 1 {
+		t.Fatalf("%d free buffers, want 1 (the zero payload and a nil one are not recycled)", s.FreeBuffers())
+	}
+	s.PutBucket(&block.Bucket{Blocks: []block.Block{{Addr: 2, Label: 3, Data: staging[4:8:8]}}})
+	if b, _ := s.Get(2); &b.Data[0] != &recycled[0] || !bytes.Equal(b.Data, []byte{5, 6, 7, 8}) {
+		t.Fatal("PutBucket did not copy into the recycled buffer")
+	}
+
+	old, _ := s.Get(1)
+	s.PutBucket(&block.Bucket{Blocks: []block.Block{{Addr: 1, Label: 3, Data: staging[4:8:8]}}})
+	if b, _ := s.Get(1); &b.Data[0] != &old.Data[0] {
+		t.Fatal("a replaced resident's buffer was not reused for its replacement")
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	many := make([]block.Block, 3*s.freeCap)
+	for i := range many {
+		many[i].Data = make([]byte, 4)
+	}
+	s.Recycle(many)
+	if s.FreeBuffers() != 20 {
+		t.Fatalf("%d free buffers, want the bound (L+1)·Z = 20", s.FreeBuffers())
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForEachOrdered(t *testing.T) {
-	s := New(tr(), 10)
+	s := New(tr(), 4, 10)
 	for _, a := range []uint64{8, 2, 5} {
 		s.Put(block.Block{Addr: a, Label: 0})
 	}
@@ -212,7 +270,7 @@ func TestEvictionPreservesInvariantUnderRandomLoad(t *testing.T) {
 	// those buckets that still had room. (Greedy maximality.)
 	g := tree.MustNew(6)
 	r := rng.New(5)
-	s := New(g, 0)
+	s := New(g, 4, 0)
 	for a := uint64(0); a < 200; a++ {
 		s.Put(block.Block{Addr: a, Label: tree.Label(r.Uint64n(g.Leaves()))})
 	}
@@ -331,7 +389,7 @@ func sameBlocks(a, b []block.Block) bool {
 func TestDenseMatchesMapReference(t *testing.T) {
 	g := tree.MustNew(11)
 	r := rng.New(22)
-	s := New(g, 10)
+	s := New(g, 4, 10)
 	ref := &refStash{tr: g, capacity: 10, blocks: map[uint64]block.Block{}}
 	const addrSpace = 120
 	randBlock := func(step int) block.Block {
@@ -421,7 +479,7 @@ func TestDenseMatchesMapReference(t *testing.T) {
 func BenchmarkEvictPath(b *testing.B) {
 	g := tree.MustNew(11)
 	r := rng.New(1)
-	s := New(g, 200)
+	s := New(g, 4, 200)
 	for a := uint64(0); a < 60; a++ {
 		s.Put(block.Block{Addr: a, Label: tree.Label(r.Uint64n(g.Leaves())), Data: make([]byte, 1024)})
 	}

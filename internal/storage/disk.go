@@ -44,12 +44,13 @@ import (
 // opts in). What the frame layer guarantees is detection: after a kill
 // at any byte boundary, no frame ever reads back as silently wrong.
 //
-// Concurrent bulk contract: same as Mem — any number of ReadBuckets and
-// WriteBuckets calls may run concurrently over pairwise-disjoint node
-// sets; pread and pwrite on disjoint slots do not race. Same-kind calls
-// are serialized internally (rdMu/wrMu own the per-kind staging); mu
-// guards the counters, the epoch counter, and the per-bucket staging
-// buffers.
+// Concurrent bulk contract (BulkBackend): a ReadBuckets and a
+// WriteBuckets call may run concurrently over disjoint node sets; pread
+// and pwrite on disjoint slots do not race. Same-kind calls are
+// serialized internally (rdMu/wrMu own the per-kind staging); mu guards
+// the counters, the epoch counter, and the per-bucket staging buffers.
+// Above bulkMinBytes a bulk call fans its per-slot IO and crypto out
+// over the bulk workers, so the slots' pread or pwrite syscalls overlap.
 type Disk struct {
 	tr   tree.Tree
 	geo  block.Geometry
@@ -77,14 +78,16 @@ type Disk struct {
 	epoch  uint64
 	closed bool
 
-	ptBuf []byte // per-bucket plaintext staging
-	frBuf []byte // per-bucket frame staging
+	ptBuf []byte    // per-bucket write plaintext staging
+	frBuf []byte    // per-bucket frame staging
+	one   readStage // ReadBucket's staging
 
 	bulkWorkers int
-	rdMu, wrMu  sync.Mutex // serialize same-kind bulk calls (own the per-kind staging)
-	rdPt, wrPt  [][]byte   // per-slot plaintext staging for bulk calls
-	rdFr, wrFr  [][]byte   // per-slot frame staging for bulk calls
-	wrEp        []uint64   // per-slot epochs claimed under mu by a bulk write
+	rdMu, wrMu  sync.Mutex  // serialize same-kind bulk calls (own the per-kind staging)
+	rd          []readStage // bulk-read staging, one slot per bucket
+	wrPt        [][]byte    // per-slot plaintext staging for bulk writes
+	rdFr, wrFr  [][]byte    // per-slot frame staging for bulk calls
+	wrEp        []uint64    // per-slot epochs claimed under mu by a bulk write
 }
 
 const (
@@ -301,11 +304,13 @@ func (d *Disk) SetCrashWrite(hook func(frameLen int) (tear int, err error)) {
 }
 
 // SetBulkWorkers bounds the goroutines used by ReadBuckets and
-// WriteBuckets (same semantics as Mem.SetBulkWorkers).
+// WriteBuckets, the calling goroutine included (it claims buckets beside
+// n-1 helpers): 0 (the default) means one per available CPU, 1 forces
+// serial execution, and any other value is used as given.
 func (d *Disk) SetBulkWorkers(n int) { d.bulkWorkers = n }
 
 // bulkParallel decides whether a bulk call over n buckets is worth
-// fanning out (same policy as Mem).
+// fanning out.
 func (d *Disk) bulkParallel(n int) bool {
 	if n < 2 || d.bulkWorkers == 1 {
 		return false
@@ -313,8 +318,8 @@ func (d *Disk) bulkParallel(n int) bool {
 	return n*d.geo.BucketSize() >= bulkMinBytes
 }
 
-// pt returns the reusable per-bucket plaintext staging buffer. Caller
-// holds mu.
+// pt returns the reusable per-bucket write plaintext staging buffer.
+// Caller holds mu.
 func (d *Disk) pt() []byte {
 	if cap(d.ptBuf) < d.geo.BucketSize() {
 		d.ptBuf = make([]byte, d.geo.BucketSize())
@@ -355,8 +360,9 @@ func (d *Disk) readFrame(n tree.Node, fr []byte) ([]byte, error) {
 	return fr[frameHeaderSize : frameHeaderSize+int(length)], nil
 }
 
-// readSlot reads and decodes one bucket using caller-owned staging.
-func (d *Disk) readSlot(n tree.Node, fr, pt []byte) (block.Bucket, error) {
+// readSlot reads and decodes one bucket using caller-owned staging: the
+// frame lands in fr, and the result's payloads view st.
+func (d *Disk) readSlot(n tree.Node, fr []byte, st *readStage) (block.Bucket, error) {
 	ct, err := d.readFrame(n, fr)
 	if err != nil {
 		return block.Bucket{}, err
@@ -368,7 +374,7 @@ func (d *Disk) readSlot(n tree.Node, fr, pt []byte) (block.Bucket, error) {
 		return block.Bucket{}, corruptf("storage: bucket %d sealed image is %d bytes, want %d",
 			n, len(ct), crypt.SealedSize(d.geo.BucketSize()))
 	}
-	return decodeSealed(d.eng, d.geo, d.tr, n, ct, pt)
+	return decodeSealed(d.eng, d.geo, d.tr, n, ct, st)
 }
 
 // frame builds a complete frame for ct with the given epoch into fr.
@@ -410,7 +416,8 @@ func (d *Disk) ReadBucket(n tree.Node) (block.Bucket, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.cnt.BucketReads++
-	return d.readSlot(n, d.fr(), d.pt())
+	d.one.fit(d.geo)
+	return d.readSlot(n, d.fr(), &d.one)
 }
 
 // WriteBucket implements Backend.
@@ -449,8 +456,10 @@ func (d *Disk) WriteBucket(n tree.Node, b *block.Bucket) error {
 }
 
 // ReadBuckets implements BulkBackend: validation and counting under mu,
-// then pread+Open+decode fanned out over per-slot staging. Disjoint
-// slots make concurrent preads safe without holding mu across IO.
+// then pread+Open+decode, fanned out above bulkMinBytes. Each bucket
+// decodes into its own staging slot, serial or not, so every result
+// stays valid until the next bulk read. Disjoint slots make concurrent
+// preads safe without holding mu across IO.
 func (d *Disk) ReadBuckets(ns []tree.Node, out []block.Bucket) error {
 	if len(ns) != len(out) {
 		return fmt.Errorf("storage: bulk read of %d nodes into %d slots", len(ns), len(out))
@@ -471,13 +480,13 @@ func (d *Disk) ReadBuckets(ns []tree.Node, out []block.Bucket) error {
 		slots = len(ns)
 	}
 	d.rdFr = growSlots(d.rdFr, slots, d.slotSize)
-	d.rdPt = growSlots(d.rdPt, slots, d.geo.BucketSize())
-	frs, pts := d.rdFr, d.rdPt
+	d.rd = growStages(d.rd, len(ns), d.geo)
+	frs, sts := d.rdFr, d.rd
 	d.mu.Unlock()
 	if !parallel {
 		for i := range ns {
 			out[i] = block.Bucket{}
-			bk, err := d.readSlot(ns[i], frs[0], pts[0])
+			bk, err := d.readSlot(ns[i], frs[0], &sts[i])
 			if err != nil {
 				return err
 			}
@@ -487,7 +496,7 @@ func (d *Disk) ReadBuckets(ns []tree.Node, out []block.Bucket) error {
 	}
 	return par.ForEach(d.bulkWorkers, len(ns), func(i int) error {
 		out[i] = block.Bucket{}
-		bk, err := d.readSlot(ns[i], frs[i], pts[i])
+		bk, err := d.readSlot(ns[i], frs[i], &sts[i])
 		if err != nil {
 			return err
 		}

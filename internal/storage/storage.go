@@ -36,21 +36,24 @@ import (
 // controllers: whole-bucket reads and writes addressed by tree node.
 // Implementations count accesses for the experiment harness.
 //
-// Buffer-reuse contract (what lets controllers run allocation-free):
-//   - ReadBucket results are valid only until the next ReadBucket on the
-//     same backend; implementations may return views into reused scratch.
-//     Callers that need the blocks longer must copy them out (the stash
-//     does, by storing block values in its map).
-//   - WriteBucket must not retain b.Blocks after it returns; the caller
-//     owns the slice and will reuse it. Decorators that cache buckets
-//     (internal/mac) copy the slice for exactly this reason.
+// Buffer contract (what lets controllers run allocation-free):
+//   - Read results are valid only until the next call, read or write, on
+//     the same backend: implementations decode into reused staging, and
+//     a block's Data is a view of that staging. A caller that keeps a
+//     block must copy its payload out first; the stash does, copying
+//     every payload it is handed into a buffer it owns.
+//   - Writes retain nothing: WriteBucket and WriteBuckets must not keep
+//     any block, block slice or payload after they return. The caller
+//     owns them and reuses the payload buffers for later reads.
+//     Decorators that cache buckets (internal/mac) deep-copy them for
+//     exactly this reason.
 type Backend interface {
 	// ReadBucket returns the current contents of bucket n (real blocks
 	// only; dummies are implicit). The result is valid until the next
-	// ReadBucket call.
+	// call on the backend.
 	ReadBucket(n tree.Node) (block.Bucket, error)
 	// WriteBucket replaces the contents of bucket n. It must not retain
-	// b.Blocks.
+	// b.Blocks or any payload.
 	WriteBucket(n tree.Node, b *block.Bucket) error
 	// Geometry returns the bucket shape.
 	Geometry() block.Geometry
@@ -92,32 +95,23 @@ type Medium interface {
 // probabilistic encryption, and re-sealed under a fresh nonce on every
 // write. Buckets never written are implicitly all-dummy.
 //
-// Concurrent bulk contract: at most one ReadBuckets and one WriteBuckets
-// call may run concurrently, and only over DISJOINT node sets. The
-// controller issues one bulk call at a time, so the only concurrency in
-// tree is a bulk call's own fan-out. mu guards the ciphertext map and
-// the counters; the crypto work itself runs outside the lock over
-// per-role staging (read vs. write), so a read's decrypt can overlap a
-// concurrent write's encrypt. The per-bucket methods hold mu for their
-// whole body and may interleave with either bulk call under the same
-// disjointness rule.
+// Every method holds mu for its whole body, bulk calls included, and
+// does its crypto on the calling goroutine. Reads decode into staging
+// apart from the writes': ReadBucket into its own, ReadBuckets into one
+// slot per bucket. A bulk read's results therefore survive writes and
+// per-bucket reads, so one goroutine may inspect them while another
+// writes other buckets.
 type Mem struct {
 	tr   tree.Tree
 	geo  block.Geometry
 	eng  *crypt.Engine
-	mu   sync.Mutex // guards data + cnt (see the concurrent bulk contract)
+	mu   sync.Mutex // held for the whole body of every method
 	data map[tree.Node][]byte
 	cnt  Counters
 
-	ptBuf []byte // plaintext staging buffer, reused by every per-bucket read and write
-
-	bulkWorkers int        // ReadBuckets/WriteBuckets fan-out, caller included (0 = GOMAXPROCS, 1 = serial)
-	rdMu        sync.Mutex // serializes bulk reads (owns rdPt/rdCt for the call)
-	wrMu        sync.Mutex // serializes bulk writes (owns wrPt/wrCt for the call)
-	rdPt        [][]byte   // per-slot plaintext staging for bulk reads
-	wrPt        [][]byte   // per-slot plaintext staging for bulk writes
-	rdCt        [][]byte   // ciphertext refs snapshotted under mu by a bulk read
-	wrCt        [][]byte   // ciphertext slots claimed under mu by a bulk write
+	wrPt []byte      // plaintext staging of every write, per-bucket and bulk
+	one  readStage   // ReadBucket's staging
+	rd   []readStage // ReadBuckets' staging, one slot per bucket
 }
 
 // NewMem creates a Mem backend for the given tree and bucket geometry,
@@ -133,7 +127,15 @@ func NewMem(tr tree.Tree, geo block.Geometry, key []byte) (*Mem, error) {
 	return &Mem{tr: tr, geo: geo, eng: eng, data: make(map[tree.Node][]byte)}, nil
 }
 
-// ReadBucket implements Backend.
+// ReadBucket implements Backend. decodeSealed performs the decrypt,
+// decode and plausibility check: every real block ever written carries
+// a label naming a leaf of this tree. Ciphertext corruption under CTR
+// scrambles the decrypted headers, so corruption touching a header
+// fails the check with overwhelming probability (a random 64-bit word is
+// a valid label with chance Leaves/2^64). Payload-only corruption is NOT
+// detectable here — that is what the Merkle layer (Integrity) is for;
+// the on-path eviction invariant is audited by Scrub, not enforced per
+// read.
 func (m *Mem) ReadBucket(n tree.Node) (block.Bucket, error) {
 	if !m.tr.ValidNode(n) {
 		return block.Bucket{}, fmt.Errorf("storage: node %d out of range", n)
@@ -141,24 +143,8 @@ func (m *Mem) ReadBucket(n tree.Node) (block.Bucket, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cnt.BucketReads++
-	// readBucketBody performs the decrypt + decode + plausibility check:
-	// every real block ever written carries a label naming a leaf of this
-	// tree. Ciphertext corruption under CTR scrambles the decrypted
-	// headers, so corruption touching a header fails the check with
-	// overwhelming probability (a random 64-bit word is a valid label
-	// with chance Leaves/2^64). Payload-only corruption is NOT detectable
-	// here — that is what the Merkle layer (Integrity) is for; the
-	// on-path eviction invariant is audited by Scrub, not enforced per
-	// read.
-	return m.readBucketBody(n, m.pt())
-}
-
-// pt returns the reusable plaintext staging buffer, sized to one bucket.
-func (m *Mem) pt() []byte {
-	if cap(m.ptBuf) < m.geo.BucketSize() {
-		m.ptBuf = make([]byte, m.geo.BucketSize())
-	}
-	return m.ptBuf[:m.geo.BucketSize()]
+	m.one.fit(m.geo)
+	return decodeSealed(m.eng, m.geo, m.tr, n, m.data[n], &m.one)
 }
 
 // WriteBucket implements Backend.
@@ -169,12 +155,7 @@ func (m *Mem) WriteBucket(n tree.Node, b *block.Bucket) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cnt.BucketWrites++
-	// writeBucketBody re-seals into the bucket's existing ciphertext slot
-	// when possible: after the tree's first full traversal, writes stop
-	// allocating. Safe because every reader (Integrity's hasher, the
-	// security tests) copies or consumes ciphertexts before the next
-	// write.
-	return m.writeBucketBody(n, b, m.pt())
+	return m.seal(n, b)
 }
 
 // Geometry implements Backend.
