@@ -19,11 +19,13 @@ race:
 	$(GO) test -race -run TestParallel ./internal/bench
 
 # Allocation counts of one access, then the hot-path benchmarks: bucket
-# encoding, one refill's eviction, a bulk path read, and a 32-op Batch
-# at perfbench's batch-1k geometry (CI runs the latter once each).
+# encoding, one refill's eviction, a bulk path read, a 32-op Batch at
+# perfbench's batch-1k geometry, and the same Batch through a Service
+# with a file journal, fsync included (CI runs the latter five once
+# each).
 bench:
 	$(GO) test -bench BenchmarkAccessAllocs -benchtime 1000x ./internal/fork ./internal/pathoram
-	$(GO) test -run '^$$' -bench 'Benchmark(EncodeBucket|EvictPath|MemReadBuckets|DeviceBatch)$$' -benchmem \
+	$(GO) test -run '^$$' -bench 'Benchmark(EncodeBucket|EvictPath|MemReadBuckets|DeviceBatch|ServiceFileJournal)$$' -benchmem \
 		./internal/block ./internal/stash ./internal/storage .
 
 # Regenerate the perf-trajectory record (BENCH_<date>.json).

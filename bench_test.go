@@ -7,6 +7,8 @@ package forkoram
 // cmd/orambench produces the full tables (and -paper the Table 1 scale).
 
 import (
+	"context"
+	"path/filepath"
 	"testing"
 
 	"forkoram/internal/bench"
@@ -272,5 +274,60 @@ func BenchmarkDeviceBatch(b *testing.B) {
 		if _, err := d.Batch(ops); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServiceFileJournal measures one 32-op Service.Batch at
+// perfbench's batch-1k geometry (4,096 blocks of 1 KiB on the in-memory
+// medium) with a file journal (OpenWALFile) in the benchmark's temporary
+// directory: one goroutine alternates all-read and all-write batches
+// over uniform addresses of a prefilled service, and no checkpoint runs
+// while it is timed. ns/op is one batch's latency through the run loop;
+// a write batch includes its window's journal write and fsync, which
+// overlaps the window's Device.Batch.
+func BenchmarkServiceFileJournal(b *testing.B) {
+	const blocks, batch = 4096, 32
+	journal, err := OpenWALFile(filepath.Join(b.TempDir(), "journal.wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer journal.Close()
+	svc, err := NewService(ServiceConfig{
+		Device:          DeviceConfig{Blocks: blocks, BlockSize: 1024, Variant: Fork},
+		WAL:             journal,
+		CheckpointEvery: 1 << 30,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	data := make([]byte, 1024)
+	ops := make([]BatchOp, batch)
+	for a := uint64(0); a < blocks; a += batch {
+		for i := range ops {
+			ops[i] = BatchOp{Addr: a + uint64(i), Write: true, Data: data}
+		}
+		if _, err := svc.Batch(ctx, ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write := i%2 == 1
+		for j := range ops {
+			ops[j] = BatchOp{Addr: r.Uint64n(blocks), Write: write}
+			if write {
+				ops[j].Data = data
+			}
+		}
+		if _, err := svc.Batch(ctx, ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := svc.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -857,8 +857,8 @@ type shardStores struct {
 }
 
 // newFleetStores sizes the kill plans so the first kill lands anywhere
-// in the schedule: roughly three consultations per write, half the ops
-// write, spread over width shards.
+// in the schedule: roughly two consultations per write and one per
+// read, half the ops write, spread over width shards.
 func newFleetStores(st *campaign, width, kills int) *fleetStores {
 	f := &fleetStores{
 		seed:   st.sched.seed,

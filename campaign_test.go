@@ -12,7 +12,7 @@ import (
 // shares, and the tests after it check one topology's coverage claims
 // against the same report. single runs eight passes over its 18
 // combinations: its rarest kill sites take a few kills in the whole
-// sweep (mid-compaction 3 and mid-scrub 10 in each of 20 runs).
+// sweep (mid-compaction 4 and mid-scrub 7 in each of 20 runs).
 var tier1 = map[Topology]*tier1Sweep{
 	TopologyDevice:  {cfg: CampaignConfig{Seed: 1, Topology: TopologyDevice, Schedules: 24}},
 	TopologySingle:  {cfg: CampaignConfig{Seed: 0xc0ffee, Topology: TopologySingle, Schedules: 144}},

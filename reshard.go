@@ -341,7 +341,7 @@ func (r *ShardedService) migOp(set *shardSet, sh int, f func(*Service) error) er
 			return fmt.Errorf("forkoram: shard %d (policy v%d) stayed down through %d restarts: %w",
 				sh, set.policy.Version, attempt, err)
 		}
-		if rerr := r.restartIn(set, sh); rerr != nil {
+		if _, rerr := r.restartIn(set, sh, svc); rerr != nil {
 			if errors.Is(rerr, ErrClosed) {
 				return ErrClosed
 			}
@@ -579,7 +579,8 @@ func (r *ShardedService) healSweep(slots map[*shardSet][]healSlot) {
 			slots[set] = sl
 		}
 		for i := range sl {
-			if r.svcAt(set, i).State() != stateKilled {
+			dead := r.svcAt(set, i)
+			if dead.State() != stateKilled {
 				sl[i] = healSlot{}
 				continue
 			}
@@ -587,7 +588,8 @@ func (r *ShardedService) healSweep(slots map[*shardSet][]healSlot) {
 			if s.fails >= c.MaxFailures || now.Before(s.notBefore) {
 				continue
 			}
-			if err := r.restartIn(set, i); err != nil {
+			restarted, err := r.restartIn(set, i, dead)
+			if err != nil {
 				if errors.Is(err, ErrClosed) {
 					return
 				}
@@ -599,9 +601,11 @@ func (r *ShardedService) healSweep(slots map[*shardSet][]healSlot) {
 				continue
 			}
 			sl[i] = healSlot{}
-			r.mu.Lock()
-			r.healRestarts++
-			r.mu.Unlock()
+			if restarted {
+				r.mu.Lock()
+				r.healRestarts++
+				r.mu.Unlock()
+			}
 		}
 	}
 }
@@ -615,13 +619,16 @@ func (r *ShardedService) healDownShards() (int, error) {
 	healed := 0
 	for _, set := range r.servingSets() {
 		for i := range set.svcs {
-			if r.svcAt(set, i).State() != stateKilled {
+			dead := r.svcAt(set, i)
+			if dead.State() != stateKilled {
 				continue
 			}
-			err := r.restartIn(set, i)
+			restarted, err := r.restartIn(set, i, dead)
 			switch {
 			case err == nil:
-				healed++
+				if restarted {
+					healed++
+				}
 			case errors.Is(err, errKilled):
 				// cold start crash-injected; still down
 			default:

@@ -503,6 +503,34 @@ func TestRestartShardDuringBatch(t *testing.T) {
 	}
 }
 
+// TestHealerSparesAReplacedShard: a healer restarts only the
+// incarnation it saw dead. Once another caller has replaced it, the
+// fresh incarnation keeps serving: closing it would fail the requests
+// it serves with ErrClosed.
+func TestHealerSparesAReplacedShard(t *testing.T) {
+	cfg := shardedTestConfig(2, 16)
+	cfg.SelfHeal = SelfHealConfig{Disable: true}
+	svc, err := NewShardedService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.mu.Lock()
+	set := svc.cur
+	svc.mu.Unlock()
+	seen := svc.svcAt(set, 0)
+	if err := svc.RestartShard(0); err != nil {
+		t.Fatal(err)
+	}
+	fresh := svc.svcAt(set, 0)
+	if restarted, err := svc.restartIn(set, 0, seen); restarted || err != nil {
+		t.Fatalf("healing the replaced incarnation: restarted %v, err %v", restarted, err)
+	}
+	if got := svc.svcAt(set, 0); got != fresh || fresh.State() != StateHealthy {
+		t.Fatalf("healing the replaced incarnation restarted the fresh one (its state %v)", fresh.State())
+	}
+}
+
 // TestConcurrentRestartSameShard: two RestartShard calls on the SAME
 // shard must serialize (per-shard restart lock), both succeed, and the
 // shard serves afterwards. Runs under -race via make race.

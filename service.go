@@ -202,11 +202,10 @@ const (
 	// issued. The records may vanish or persist as a torn prefix; none
 	// of the window's operations was acknowledged.
 	CrashAfterAppend CrashPoint = iota
-	// CrashAfterSync: the window's records are durable behind one sync,
-	// none applied yet — replay must reconstruct every one of them.
-	CrashAfterSync
-	// CrashAfterApply: the window is applied to the device, no
-	// acknowledgement sent. Read-only windows consult it too.
+	// CrashAfterApply: the window is applied to the device and its
+	// records are durable behind one sync, no acknowledgement sent —
+	// replay must reconstruct every one of them. Read-only windows
+	// consult it too.
 	CrashAfterApply
 	// CrashAfterCheckpointSave: checkpoint durable, journal not yet
 	// truncated — replay must tolerate the already-applied prefix.
@@ -240,8 +239,6 @@ func (p CrashPoint) String() string {
 	switch p {
 	case CrashAfterAppend:
 		return "after-append"
-	case CrashAfterSync:
-		return "after-sync"
 	case CrashAfterApply:
 		return "after-apply"
 	case CrashAfterCheckpointSave:
@@ -522,8 +519,9 @@ type svcResp struct {
 // accesses by construction, so a single worker loses no parallelism and
 // keeps the Device's single-goroutine contract by design.
 //
-// Durability: every write is appended to a write-ahead journal and made
-// durable BEFORE it is applied, and acknowledged only after apply. The
+// Durability: every write is appended to a write-ahead journal, and
+// acknowledged only after its record is durable AND it is applied; the
+// journal sync runs while the device applies the same window. The
 // supervisor checkpoints the device periodically (client snapshot +
 // medium backup) and truncates the journal only after the checkpoint is
 // durable. An acknowledged write therefore survives any crash: it is in
@@ -569,6 +567,15 @@ type Service struct {
 	sinceScrub int          // acked mutating ops since the last scrub slice
 	storSeen   StorageStats // current device's storage counters already folded into stats
 
+	// The syncer goroutine runs a write window's journal Sync while the
+	// run loop applies the same window (see commitGroup). Only the run
+	// loop starts and joins a sync, so syncing and syncErr are
+	// worker-owned too.
+	syncReq  chan struct{} // run loop -> syncer: sync the journal now
+	syncDone chan error    // syncer -> run loop: the sync's result
+	syncing  bool          // a sync was started and not yet joined
+	syncErr  error         // result of the last sync joined
+
 	// Group-commit scratch, reused every dispatch window so coalescing
 	// allocates nothing in steady state.
 	groupBuf []*svcReq
@@ -595,10 +602,12 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:     cfg,
-		q:       make(chan *svcReq, cfg.QueueDepth),
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:      cfg,
+		q:        make(chan *svcReq, cfg.QueueDepth),
+		closing:  make(chan struct{}),
+		done:     make(chan struct{}),
+		syncReq:  make(chan struct{}),
+		syncDone: make(chan error, 1),
 	}
 	log, recs, err := wal.Open(cfg.WAL)
 	if err != nil {
@@ -712,7 +721,10 @@ func (s *Service) Read(ctx context.Context, addr uint64) ([]byte, error) {
 // acknowledged: it is journaled durably, applied, and will survive any
 // crash the checkpoint/journal machinery can recover from. On error the
 // write may or may not have been applied (ctx expiry and crash errors
-// leave it in flight; validation errors guarantee it was not).
+// leave it in flight; validation errors guarantee it was not). A failed
+// journal sync is one such error: the window was applied while its sync
+// ran, and the checkpoint that heals the journal captures it, so the
+// write may read back as its new value.
 func (s *Service) Write(ctx context.Context, addr uint64, data []byte) error {
 	_, err := s.do(ctx, &svcReq{kind: reqWrite, addr: addr, data: data})
 	return err
@@ -789,7 +801,7 @@ func (s *Service) admit(ctx context.Context, req *svcReq) error {
 		select {
 		case s.q <- req:
 		case <-s.closing:
-			return ErrClosed
+			return s.deadErr()
 		case <-s.done:
 			// Supervisor gone (crash-injected death): the queue would
 			// swallow the request forever.
@@ -806,7 +818,7 @@ func (s *Service) admit(ctx context.Context, req *svcReq) error {
 		select {
 		case s.q <- req:
 		case <-s.closing:
-			return ErrClosed
+			return s.deadErr()
 		case <-s.done:
 			return s.deadErr()
 		case <-ctx.Done():
@@ -837,9 +849,11 @@ func (s *Service) await(ctx context.Context, req *svcReq) (svcResp, error) {
 	}
 }
 
-// deadErr is the admission error once the supervisor goroutine has
-// exited: ErrClosed after an orderly Close, errKilled after an injected
-// crash.
+// deadErr is the admission error once the service is closing or its
+// supervisor goroutine has exited: ErrClosed after an orderly Close,
+// errKilled after an injected crash. A crashed service that is being
+// closed has both channels closed, and must still answer errKilled, the
+// error a router maps to a down shard.
 func (s *Service) deadErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -853,9 +867,12 @@ func (s *Service) deadErr() error {
 // admission queue, journals and applies operations, checkpoints, and
 // heals the device when it fail-stops. Each iteration drains the queue
 // into one dispatch window (see gather), so a backlog is group-committed
-// instead of paying one sync per operation.
+// instead of paying one sync per operation. The syncer it starts lives
+// exactly as long as it does.
 func (s *Service) run() {
 	defer close(s.done)
+	go s.syncer()
+	defer s.stopSyncer()
 	for {
 		select {
 		case req := <-s.q:
@@ -1021,16 +1038,22 @@ func (s *Service) serveGroup(g []*svcReq) bool {
 // commitGroup is the group-commit pipeline for one window of non-
 // checkpoint requests:
 //
-//	validate each -> journal all writes in ONE frame batch -> ONE sync
-//	-> apply the whole window via ONE Device.Batch -> distribute.
+//	validate each -> journal all writes in ONE frame batch
+//	-> ONE sync on the syncer, while the run loop applies the whole
+//	   window via ONE Device.Batch -> join the sync -> distribute.
 //
-// It is a healthy service's only dispatch path, a window of one
-// included, so every journaled write meets the same kill sites and the
-// same ack rule. Invalid requests are answered immediately and
-// excluded, so one malformed op never poisons its neighbours. A write
-// is acked only after the group's records are durable AND applied —
-// ack ⇔ the group's sync happened. Reports false when a crash injection killed the
-// service; every still-unanswered request is then answered errKilled.
+// A write window so costs max(sync, apply), not their sum. It is a
+// healthy service's only dispatch path, a window of one included, so
+// every journaled write meets the same kill sites and the same ack
+// rule. Invalid requests are answered immediately and excluded, so one
+// malformed op never poisons its neighbours. A write is acked only
+// after the group's records are durable AND applied — ack ⇔ the
+// group's sync returned. Apply may run ahead of the sync, but nothing
+// is answered, and no later window starts, before the sync is joined;
+// so is every path that reads or replaces journal or device state
+// (recovery, the journal heal, a kill). Reports false when a crash
+// injection killed the service; every still-unanswered request is then
+// answered errKilled.
 func (s *Service) commitGroup(g []*svcReq) bool {
 	live := s.liveBuf[:0]
 	recs := s.recsBuf[:0]
@@ -1068,7 +1091,7 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 	}
 
 	// Journal: one frame batch, one sync, covering every write in the
-	// window.
+	// window. The sync runs on the syncer while the window is applied.
 	for _, req := range live {
 		switch req.kind {
 		case reqWrite:
@@ -1081,7 +1104,8 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 			}
 		}
 	}
-	if len(recs) > 0 {
+	synced := len(recs) > 0
+	if synced {
 		s.logMu.Lock()
 		err := s.log.AppendGroup(recs)
 		s.logMu.Unlock()
@@ -1093,17 +1117,7 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 			s.killGroup(live)
 			return false
 		}
-		s.logMu.Lock()
-		err = s.log.Sync()
-		s.logMu.Unlock()
-		if err != nil {
-			return s.failGroup(live, err)
-		}
-		s.bump(func(t *ServiceStats) { t.WALSyncs++ })
-		if s.killed(CrashAfterSync) {
-			s.killGroup(live)
-			return false
-		}
+		s.startSync()
 	}
 
 	// Apply: concatenate the window into one Device.Batch so the Fork
@@ -1129,6 +1143,9 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 		if err == nil {
 			break
 		}
+		// Every way on from here reads or replaces the journal: the
+		// window's sync lands first.
+		s.joinSync()
 		if errors.Is(err, errKilled) {
 			// Crash injection struck inside the window (the disk
 			// medium's mid-bucket-write hook): the service dies here, it
@@ -1153,6 +1170,13 @@ func (s *Service) commitGroup(g []*svcReq) bool {
 		}
 		// Recovery replayed the group's journaled writes; re-running the
 		// batch re-applies them idempotently and refreshes read results.
+	}
+	if synced {
+		// A failed sync fails the whole window, although it is applied:
+		// the heal's checkpoint captures it (see Write).
+		if err := s.joinSync(); err != nil {
+			return s.failGroup(live, err)
+		}
 	}
 	if s.killed(CrashAfterApply) {
 		s.killGroup(live)
@@ -1225,7 +1249,8 @@ func (s *Service) validateReq(req *svcReq) error {
 }
 
 // failGroup heals the journal (see healJournal), then answers every
-// live request with err — none were acked, so failing all is sound. The
+// live request with err — none were acked, so failing all is sound.
+// The window's sync, if it started one, has been joined. The
 // heal comes first, so a client that sees the error also sees the
 // checkpoint that cleared it; a kill inside the heal answers errKilled.
 func (s *Service) failGroup(live []*svcReq, err error) bool {
@@ -1574,11 +1599,15 @@ func (s *Service) persistCheckpoint(snap *Snapshot) error {
 
 // killed consults the crash hook at one CrashPoint. The consultation
 // runs under logMu: the chaos harness's hook tears the journal store's
-// buffer at kill time.
+// buffer at kill time. A sync in flight (a mid-bucket-write
+// consultation inside the window's apply) is joined first, so the tear
+// never races it and a campaign schedule replays exactly: the kill
+// then finds the window durable, as after-apply does.
 func (s *Service) killed(p CrashPoint) bool {
 	if s.cfg.crashHook == nil {
 		return false
 	}
+	s.joinSync()
 	s.logMu.Lock()
 	hit := s.cfg.crashHook(p)
 	s.logMu.Unlock()
@@ -1587,6 +1616,46 @@ func (s *Service) killed(p CrashPoint) bool {
 	}
 	s.setState(stateKilled, errKilled)
 	return true
+}
+
+// syncer runs the journal syncs commitGroup starts, one at a time, so a
+// write window's fsync overlaps its own Device.Batch. It exits when
+// stopSyncer closes syncReq.
+func (s *Service) syncer() {
+	defer close(s.syncDone)
+	for range s.syncReq {
+		s.logMu.Lock()
+		err := s.log.Sync()
+		s.logMu.Unlock()
+		s.syncDone <- err
+	}
+}
+
+// startSync hands the journal's buffered records to the syncer.
+func (s *Service) startSync() {
+	s.syncing, s.syncErr = true, nil
+	s.syncReq <- struct{}{}
+}
+
+// joinSync waits for the sync in flight, if any, and returns the result
+// of the last sync started. A sync that succeeded counts in WALSyncs
+// when it is joined, whatever then becomes of its window.
+func (s *Service) joinSync() error {
+	if s.syncing {
+		s.syncErr = <-s.syncDone
+		s.syncing = false
+		if s.syncErr == nil {
+			s.bump(func(t *ServiceStats) { t.WALSyncs++ })
+		}
+	}
+	return s.syncErr
+}
+
+// stopSyncer joins any sync in flight and ends the syncer goroutine.
+func (s *Service) stopSyncer() {
+	s.joinSync()
+	close(s.syncReq)
+	<-s.syncDone
 }
 
 func (s *Service) setState(st ServiceState, cause error) {

@@ -162,11 +162,29 @@ func blockingHook(entered, gate chan struct{}) func(CrashPoint) bool {
 	}
 }
 
+// syncedCheckpoints is a checkpoint store whose every Save fails the
+// test if the journal holds records no sync has made durable: a
+// checkpoint must run between windows, after the window's journal sync
+// was joined, never while that sync is in flight.
+type syncedCheckpoints struct {
+	CheckpointStore
+	t       *testing.T
+	journal *wal.MemStore
+}
+
+func (c *syncedCheckpoints) Save(ck *Checkpoint) error {
+	if n := c.journal.Buffered(); n != 0 {
+		c.t.Errorf("checkpoint saved with %d unsynced journal bytes", n)
+	}
+	return c.CheckpointStore.Save(ck)
+}
+
 // TestServiceStressOracle hammers a single-shard Service with
 // concurrent clients — singleton writes, reads, and batches racing
 // into group-commit windows — then verifies every acknowledged write
 // against an oracle. Run under -race it races admission against the
-// run loop's window dispatch.
+// run loop's window dispatch. No checkpoint may capture unsynced
+// journal records (syncedCheckpoints).
 func TestServiceStressOracle(t *testing.T) {
 	const (
 		blocks    = 64
@@ -174,6 +192,7 @@ func TestServiceStressOracle(t *testing.T) {
 		clients   = 6
 		opsEach   = 30
 	)
+	journal := wal.NewMemStore()
 	svc, err := NewService(ServiceConfig{
 		Device: DeviceConfig{
 			Blocks: blocks, BlockSize: blockSize, Variant: Fork,
@@ -181,6 +200,8 @@ func TestServiceStressOracle(t *testing.T) {
 		},
 		QueueDepth:      32,
 		CheckpointEvery: 64,
+		WAL:             journal,
+		Checkpoints:     &syncedCheckpoints{CheckpointStore: NewMemCheckpointStore(), t: t, journal: journal},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +368,29 @@ func TestServiceOverload(t *testing.T) {
 	}
 	if err := <-w2done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKilledServiceAnswersErrKilled: a crash-killed Service answers
+// every admission with errKilled, also once it is closed, when its
+// closing and done channels are both ready. A router maps errKilled to
+// a down shard and heals it; ErrClosed would fail the operation.
+func TestKilledServiceAnswersErrKilled(t *testing.T) {
+	cfg := testServiceConfig(Fork)
+	cfg.crashHook = func(p CrashPoint) bool { return p == CrashAfterAppend }
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := svc.Write(ctx, 1, chaosPayload(32, 7, 1)); !errors.Is(err, errKilled) {
+		t.Fatalf("write at the kill point: %v", err)
+	}
+	svc.Close()
+	for i := 0; i < 100; i++ {
+		if _, err := svc.Read(ctx, 1); !errors.Is(err, errKilled) {
+			t.Fatalf("admission %d to the killed, closed service: %v, want errKilled", i, err)
+		}
 	}
 }
 
@@ -754,7 +798,7 @@ func TestCloseVsCommitRace(t *testing.T) {
 // reverted block. A final clean Close and reopen reads over the zeroed
 // file the last reset leaves behind.
 func TestServiceFileJournalCrashReopen(t *testing.T) {
-	for _, kill := range []CrashPoint{CrashAfterSync, CrashAfterCheckpointSave} {
+	for _, kill := range []CrashPoint{CrashAfterApply, CrashAfterCheckpointSave} {
 		t.Run(kill.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "journal.wal")
 			cks := NewMemCheckpointStore()
@@ -830,7 +874,9 @@ func TestServiceFileJournalCrashReopen(t *testing.T) {
 			svc, _ = open(rcfg)
 			replayed := svc.Stats().ReplayedOps
 			switch kill {
-			case CrashAfterSync:
+			case CrashAfterApply:
+				// The killed write's record is durable: the window's sync
+				// was joined before the kill point.
 				if replayed == 0 {
 					t.Fatalf("nothing replayed from the file journal (%d records left)", len(left))
 				}

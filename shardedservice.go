@@ -781,34 +781,43 @@ func (r *ShardedService) RestartShard(i int) error {
 	if i < 0 || i >= set.policy.Shards {
 		return fmt.Errorf("forkoram: shard %d out of range (shards=%d)", i, set.policy.Shards)
 	}
-	return r.restartIn(set, i)
+	_, err := r.restartIn(set, i, nil)
+	return err
 }
 
-// restartIn restarts one shard of one generation, serialized per shard.
-func (r *ShardedService) restartIn(set *shardSet, i int) error {
+// restartIn restarts one shard of one generation, serialized per shard,
+// and reports whether it did. A healer that saw the incarnation dead
+// passes it: if another caller has replaced it meanwhile, the shard is
+// back and the fresh incarnation is left alone, since closing it would
+// fail the requests it is serving with ErrClosed. A nil dead restarts
+// whatever incarnation is current.
+func (r *ShardedService) restartIn(set *shardSet, i int, dead *Service) (bool, error) {
 	set.restartMu[i].Lock()
 	defer set.restartMu[i].Unlock()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	old := set.svcs[i]
 	r.mu.Unlock()
+	if dead != nil && old != dead {
+		return false, nil
+	}
 	old.Close()
 	svc, err := NewService(set.cfgs[i])
 	if err != nil {
-		return fmt.Errorf("forkoram: shard %d restart: %w", i, err)
+		return false, fmt.Errorf("forkoram: shard %d restart: %w", i, err)
 	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		svc.Close()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	set.svcs[i] = svc
 	r.mu.Unlock()
-	return nil
+	return true, nil
 }
 
 // Close stops the self-heal loop, refuses further admissions, and shuts
